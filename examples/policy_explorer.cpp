@@ -43,12 +43,12 @@ int main(int argc, char** argv) {
   const std::vector<double> capacity{1500, 260, 420, 500, 320};
   const std::vector<double> offered{1800, 900, 700, 120, 1100};
   const char* names[] = {"AMS", "LHR", "FRA", "MIA", "NRT"};
-  const auto advice = core::advise(capacity, offered);
+  const auto advice = anycast::advise(capacity, offered);
   for (const auto& a : advice) {
     std::printf("  %-4s offered %5.0f / cap %5.0f (%.1fx): %-17s %s\n",
                 names[a.site_index], offered[a.site_index],
                 capacity[a.site_index], a.overload,
-                core::to_string(a.action).c_str(), a.rationale.c_str());
+                anycast::to_string(a.action).c_str(), a.rationale.c_str());
   }
   std::puts(
       "\nNote: the paper stresses operators cannot compute this live —\n"

@@ -4,44 +4,49 @@
 #   1. Release build + the whole test suite, serial (ROOTSTRESS_THREADS=1)
 #      and parallel (ROOTSTRESS_THREADS=4) — the auto thread knob reads
 #      that variable, so this runs every engine test on both paths.
-#   2. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
+#   2. Bit-identity gate: the benchmark's replay and campaign workloads at
+#      seed 1 (perfbench/run.py, its own Release build) must report zero
+#      failed output checks — their digests must equal the references
+#      pinned in perfbench, so a change that moves any simulation output
+#      bit fails here.
+#   3. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
 #      then warm, asserting the warm pass executes ZERO engine runs (the
 #      content-addressed cache contract).
-#   3. Playbook gate: the reactive-controller integration tests on both
+#   4. Playbook gate: the reactive-controller integration tests on both
 #      engine paths (ROOTSTRESS_THREADS=1 and 4), then the playbook_duel
 #      example, which exits non-zero unless the withdraw plan changes the
 #      answered fraction, threads 1 and 4 agree bit-for-bit, and the
 #      playbook campaign axis caches three distinct digests.
-#   4. Fault gate: the fault-layer integration tests on both engine
+#   5. Fault gate: the fault-layer integration tests on both engine
 #      paths, then the pulse_duel example at ROOTSTRESS_THREADS=1 and 4
 #      — it exits non-zero unless the pulse wave damages the absorb
 #      baseline, fault-laden runs are thread-count invariant, the patient
 #      plan out-oscillates nothing, and the fault-schedule campaign axis
 #      caches four distinct digests cold then serves them all warm.
-#   5. Observability gate: bench_obs_overhead (full telemetry incl. the
+#   6. Observability gate: bench_obs_overhead (full telemetry incl. the
 #      flight recorder must stay within 5% of a dark run on the June 2016
 #      scenario, writing BENCH_obs.json), and the first pulse_duel pass
 #      re-run with ROOTSTRESS_PERFETTO set — the exported Chrome-trace
 #      document must be valid JSON with a traceEvents array.
-#   6. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
+#   7. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
 #      cell must show incremental BGP >= 5x faster than full recompute
 #      with bit-identical RouteChange/catchment output, plus records/sec
 #      at three growing populations (ROOTSTRESS_SCALE_FULL=1 runs the
 #      full population ladder instead), writing BENCH_scale.json.
-#   7. Distributed gate: bench_distributed (subprocess fabric digests at
+#   8. Distributed gate: bench_distributed (subprocess fabric digests at
 #      1 and 4 workers must be bit-identical to in-process, a killed
 #      worker's cells must be re-leased to completion, coordination
 #      overhead bounded; writes BENCH_distributed.json), then the smoke
 #      campaign re-run on the fabric — cold on 2 workers must execute
 #      all 4 cells through the subprocess executor and a warm pass must
 #      serve every cell from the cache the workers populated.
-#   8. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
+#   9. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
 #      packets through the generator and server-under-test), then
 #      bench_netio — batched-send throughput must clear the 50k q/s bar
 #      on loopback AND the measured answered fraction under a 2x capacity
 #      overload must agree with the fluid simulator's prediction within
 #      10% (writes BENCH_netio.json).
-#   9. End-user gate: the resolver-population integration tests on both
+#  10. End-user gate: the resolver-population integration tests on both
 #      engine paths, then the enduser_duel example at ROOTSTRESS_THREADS=1
 #      (with ROOTSTRESS_DATASET set — every exported line must be valid
 #      JSON with the attack/legit labels present) and 4 — it exits
@@ -51,7 +56,7 @@
 #      bench_enduser (stepping the population must cost < 5% wall clock
 #      and leave every server-side series bit-identical, writing
 #      BENCH_enduser.json).
-#  10. Debug build with ThreadSanitizer, running the thread-pool unit
+#  11. Debug build with ThreadSanitizer, running the thread-pool unit
 #      tests, the parallel-determinism integration test, the
 #      incremental-vs-full BGP cross-check (debug builds cross-check
 #      every mutation), the resolver-population unit tests (sharded
@@ -72,6 +77,20 @@ echo "=== Test suite, serial (ROOTSTRESS_THREADS=1) ==="
 
 echo "=== Test suite, parallel (ROOTSTRESS_THREADS=4) ==="
 (cd build/check-release && ROOTSTRESS_THREADS=4 ctest --output-on-failure -j)
+
+echo "=== Bit-identity gate: pinned replay and campaign digests at seed 1 ==="
+for workload in replay campaign; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 5 --trace 0 | tail -n 1)
+  python3 - "$workload" "$result" <<'PYEOF'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+if result["failed"] != 0:
+    sys.exit(f"FAIL: perfbench {workload} at seed 1: {result['failed']} of "
+             f"{result['attempted']} output checks failed")
+print(f"perfbench {workload}: {result['attempted']} checks, 0 failed")
+PYEOF
+done
 
 echo "=== Smoke campaign: cold fills the cache, warm must not execute ==="
 SWEEP_CACHE="$(mktemp -d)"

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "obs/runtime.h"
-
 namespace rootstress::anycast {
 
 std::string to_string(AdvisedAction action) {
@@ -59,21 +57,6 @@ std::vector<SiteAdvice> advise(std::span<const double> capacity,
       a.action = AdvisedAction::kAbsorb;
       a.rationale = "no headroom elsewhere; protect other sites (case 5)";
     }
-  }
-  return advice;
-}
-
-std::vector<SiteAdvice> advise_observed(std::span<const double> capacity,
-                                        std::span<const double> offered,
-                                        obs::Runtime* obs, char letter) {
-  std::vector<SiteAdvice> advice = advise(capacity, offered);
-  if (obs == nullptr) return advice;
-  for (const auto& a : advice) {
-    if (a.action == AdvisedAction::kNoAction) continue;
-    obs->metrics()
-        .counter("defense.advice", {{"letter", std::string(1, letter)},
-                                    {"action", to_string(a.action)}})
-        .add();
   }
   return advice;
 }

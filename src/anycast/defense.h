@@ -14,10 +14,6 @@
 #include <string>
 #include <vector>
 
-namespace rootstress::obs {
-class Runtime;
-}  // namespace rootstress::obs
-
 namespace rootstress::anycast {
 
 enum class AdvisedAction {
@@ -43,14 +39,5 @@ struct SiteAdvice {
 /// load; sites are considered in order of decreasing overload.
 std::vector<SiteAdvice> advise(std::span<const double> capacity,
                                std::span<const double> offered);
-
-/// advise() plus telemetry: each recommendation increments the
-/// "defense.advice"{letter,action} counter. `obs` may be null (then
-/// identical to advise()). Activation trace events are emitted by the
-/// engine when a recommendation actually changes a site's scope, so the
-/// trace records decisions, not per-step advice repeats.
-std::vector<SiteAdvice> advise_observed(std::span<const double> capacity,
-                                        std::span<const double> offered,
-                                        obs::Runtime* obs, char letter);
 
 }  // namespace rootstress::anycast

@@ -70,7 +70,7 @@ std::vector<LetterConfig> synthetic_letter_table(const SyntheticDeployment& syn,
     for (int i = 0; i < syn.sites_per_service; ++i) {
       const net::Location& loc = locations[rng.below(locations.size())];
       SiteSpec spec;
-      char code[8];
+      char code[16];  // room for any int, so no id is ever truncated
       std::snprintf(code, sizeof(code), "Z%c%04d", cfg.letter, i);
       spec.code = code;
       spec.global = i < cfg.reported_global;

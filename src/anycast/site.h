@@ -84,6 +84,11 @@ class AnycastSite {
   /// Current announcement scope (engine keeps routing in sync).
   SiteScope scope() const noexcept { return scope_; }
   void set_scope(SiteScope scope) noexcept { scope_ = scope; }
+  /// The scope the site announces when nothing holds it down: global for
+  /// global sites, local-only for BGP-scoped ones.
+  SiteScope home_scope() const noexcept {
+    return spec_.global ? SiteScope::kGlobal : SiteScope::kLocalOnly;
+  }
 
   /// set_scope plus logging, trace events, and counters; returns whether
   /// the scope actually changed. The engine's apply path uses this so

@@ -1,7 +1,5 @@
 #include "bgp/catchment.h"
 
-#include "bgp/topology.h"
-
 namespace rootstress::bgp {
 
 CatchmentSizes catchment_sizes(const std::vector<RouteChoice>& routes,
@@ -27,47 +25,6 @@ CatchmentSizes catchment_sizes(std::span<const std::int32_t> site_of,
       ++out.per_site[static_cast<std::size_t>(site)];
     } else {
       ++out.unreachable;
-    }
-  }
-  return out;
-}
-
-std::unordered_map<int, std::vector<int>> ases_by_site(
-    const std::vector<RouteChoice>& routes) {
-  std::unordered_map<int, std::vector<int>> out;
-  for (int as = 0; as < static_cast<int>(routes.size()); ++as) {
-    out[routes[as].site_id].push_back(as);
-  }
-  return out;
-}
-
-std::vector<int> reconstruct_path(const AsTopology& topo,
-                                  const std::vector<RouteChoice>& routes,
-                                  int from_as) {
-  std::vector<int> path;
-  int current = from_as;
-  // path_len bounds the walk; an inconsistent table aborts cleanly.
-  for (int hop = 0; hop < 256; ++hop) {
-    if (current < 0 || current >= static_cast<int>(routes.size())) return {};
-    const RouteChoice& route = routes[static_cast<std::size_t>(current)];
-    if (!route.reachable()) return {};
-    path.push_back(current);
-    if (route.cls == RouteClass::kOrigin) return path;
-    const auto next = topo.index_of(route.via);
-    if (!next || *next == current) return {};
-    current = *next;
-  }
-  return {};
-}
-
-std::vector<double> weighted_catchment(const std::vector<RouteChoice>& routes,
-                                       const std::vector<double>& weights,
-                                       int site_count) {
-  std::vector<double> out(static_cast<std::size_t>(site_count), 0.0);
-  for (std::size_t as = 0; as < routes.size() && as < weights.size(); ++as) {
-    const int site = routes[as].site_id;
-    if (site >= 0 && site < site_count) {
-      out[static_cast<std::size_t>(site)] += weights[as];
     }
   }
   return out;

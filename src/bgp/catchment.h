@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/route.h"
-#include "bgp/topology.h"
 
 namespace rootstress::bgp {
 
@@ -28,27 +26,5 @@ CatchmentSizes catchment_sizes(const std::vector<RouteChoice>& routes,
 /// alike — count as unreachable.
 CatchmentSizes catchment_sizes(std::span<const std::int32_t> site_of,
                                int site_count);
-
-/// Groups dense AS indices by the site they route to (-1 key holds
-/// unreachable ASes).
-std::unordered_map<int, std::vector<int>> ases_by_site(
-    const std::vector<RouteChoice>& routes);
-
-/// Weighted catchment: sums `weight[as]` per site (e.g. VPs or query load
-/// per AS). `weights` must have one entry per AS.
-std::vector<double> weighted_catchment(const std::vector<RouteChoice>& routes,
-                                       const std::vector<double>& weights,
-                                       int site_count);
-
-/// Reconstructs the AS-level path from `from_as` (dense index) to the
-/// anycast origin its route leads to, by following each hop's `via`
-/// pointer — the simulator's analogue of a traceroute, usable to
-/// cross-validate CHAOS catchment mapping the way the paper's cited
-/// methodology does. Returns dense AS indices, `from_as` first, origin
-/// last; empty when `from_as` has no route (or on an inconsistent
-/// table).
-std::vector<int> reconstruct_path(const AsTopology& topo,
-                                  const std::vector<RouteChoice>& routes,
-                                  int from_as);
 
 }  // namespace rootstress::bgp

@@ -7,7 +7,7 @@
 //   - kAsDeployed: the letters' historical policy mix
 //   - kAllAbsorb:  every site is a committed absorber (never withdraws)
 //   - kAllWithdraw: every overloaded site withdraws aggressively
-//   - kOracle:     per-step omniscient advice from core::advise
+//   - kOracle:     per-step omniscient advice from anycast::advise
 #pragma once
 
 #include <string>
@@ -23,7 +23,7 @@ enum class PolicyRegime {
   kAsDeployed,
   kAllAbsorb,
   kAllWithdraw,
-  kOracle,  ///< live core::advise controller (adaptive defense)
+  kOracle,  ///< live anycast::advise controller (adaptive defense)
 };
 
 std::string to_string(PolicyRegime regime);

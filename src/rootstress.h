@@ -28,7 +28,6 @@
 // Network vocabulary and protocol substrates.
 #include "dns/chaos.h"
 #include "dns/edns.h"
-#include "dns/root_hints.h"
 #include "dns/rrl.h"
 #include "dns/server.h"
 #include "dns/wire.h"
@@ -66,7 +65,6 @@
 #include "analysis/site_series.h"
 #include "analysis/site_stability.h"
 #include "resolver/dataset.h"
-#include "resolver/enduser.h"
 #include "resolver/population.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
@@ -86,7 +84,7 @@
 #include "playbook/signal.h"
 
 // The contribution layer.
-#include "core/defense.h"
+#include "anycast/defense.h"
 #include "core/evaluation.h"
 #include "core/policy_model.h"
 #include "core/report_writer.h"

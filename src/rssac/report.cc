@@ -2,45 +2,10 @@
 
 namespace rootstress::rssac {
 
-std::vector<DailyReport> publish(const DailyAccumulator& accumulator,
-                                 const std::vector<Publisher>& publishers,
-                                 int first_day, int last_day,
-                                 double resolver_pool) {
-  std::vector<DailyReport> reports;
-  for (const auto& pub : publishers) {
-    for (int day = first_day; day <= last_day; ++day) {
-      if (!accumulator.has(pub.letter_index, day)) continue;
-      const LetterDayMetrics& m = accumulator.metrics(pub.letter_index, day);
-      DailyReport r;
-      r.letter = pub.letter;
-      r.day = day;
-      r.queries = m.queries;
-      r.responses = m.responses;
-      r.unique_sources = m.unique_sources(resolver_pool);
-      r.query_mode_bin = m.query_sizes.mode_bin();
-      r.response_mode_bin = m.response_sizes.mode_bin();
-      reports.push_back(r);
-    }
-  }
-  return reports;
-}
-
 double day_queries(const DailyAccumulator& accumulator, int letter_index,
                    int day) {
   if (!accumulator.has(letter_index, day)) return 0.0;
   return accumulator.metrics(letter_index, day).queries;
-}
-
-double baseline_queries(const DailyAccumulator& accumulator, int letter_index,
-                        int first_day, int last_day) {
-  double total = 0.0;
-  int days = 0;
-  for (int day = first_day; day <= last_day; ++day) {
-    if (!accumulator.has(letter_index, day)) continue;
-    total += accumulator.metrics(letter_index, day).queries;
-    ++days;
-  }
-  return days == 0 ? 0.0 : total / days;
 }
 
 }  // namespace rootstress::rssac

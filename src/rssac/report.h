@@ -1,29 +1,13 @@
-// Published RSSAC-002 daily reports.
+// RSSAC-002 publication: which letters publish daily reports.
 //
 // Only letters that had committed to RSSAC-002 by the event (A, H, J, K,
 // L) publish; the rest of the accumulator stays internal — exactly the
 // visibility the paper had to work with in §3.1.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "rssac/metrics.h"
 
 namespace rootstress::rssac {
-
-/// One published (letter, day) report.
-struct DailyReport {
-  char letter = '?';
-  int day = 0;            ///< day index from scenario epoch (0 = Nov 30)
-  double queries = 0.0;   ///< daily total (metered)
-  double responses = 0.0;
-  double unique_sources = 0.0;
-  /// Most populated payload-size bins (16-byte bins), for the paper's
-  /// attack-size identification method.
-  std::size_t query_mode_bin = 0;
-  std::size_t response_mode_bin = 0;
-};
 
 /// Which letters publish, and their letter indices.
 struct Publisher {
@@ -31,20 +15,8 @@ struct Publisher {
   int letter_index = -1;
 };
 
-/// Extracts published reports for `days` (inclusive day indices) from the
-/// accumulator. `resolver_pool` feeds the unique-source estimate.
-std::vector<DailyReport> publish(const DailyAccumulator& accumulator,
-                                 const std::vector<Publisher>& publishers,
-                                 int first_day, int last_day,
-                                 double resolver_pool);
-
 /// Metered queries for one (letter, day); 0 when the day is absent.
 double day_queries(const DailyAccumulator& accumulator, int letter_index,
                    int day);
-
-/// Mean daily queries over [first_day, last_day] for one letter — the
-/// baseline the paper subtracts (mean of the 7 days before the event).
-double baseline_queries(const DailyAccumulator& accumulator, int letter_index,
-                        int first_day, int last_day);
 
 }  // namespace rootstress::rssac

@@ -374,11 +374,7 @@ SimulationResult SimulationEngine::run() {
         if (playbook_ && playbook_->holds(id)) continue;
         if (fault_ && fault_->holds_site(id)) continue;
         if (!site.policy_state().withdrawn()) {
-          deployment_->apply_scope(id,
-                                   site.spec().global
-                                       ? anycast::SiteScope::kGlobal
-                                       : anycast::SiteScope::kLocalOnly,
-                                   t);
+          deployment_->apply_scope(id, site.home_scope(), t);
         }
       }
       std::erase_if(pending_reannounce_,
@@ -423,7 +419,7 @@ SimulationResult SimulationEngine::run() {
       if (config_.adaptive_defense) {
         apply_adaptive_defense(t);
       } else {
-        apply_policy_step(t, result);
+        apply_policy_step(t);
       }
       update_h_root_backup(t);
     }
@@ -441,9 +437,8 @@ SimulationResult SimulationEngine::run() {
           static_cast<int>(rng_.below(
               static_cast<std::uint64_t>(deployment_->site_count())));
       auto& site = deployment_->site(id);
-      const auto normal = site.spec().global ? anycast::SiteScope::kGlobal
-                                             : anycast::SiteScope::kLocalOnly;
-      if (site.scope() == normal && !site.policy_state().withdrawn()) {
+      if (site.scope() == site.home_scope() &&
+          !site.policy_state().withdrawn()) {
         deployment_->apply_scope(id, anycast::SiteScope::kDown, t);
         pending_reannounce_.push_back(
             PendingReannounce{id, t + net::SimTime::from_minutes(10)});
@@ -1074,10 +1069,8 @@ void SimulationEngine::apply_fault_step(net::SimTime t) {
         // keeps the site dark until its own restore path fires.
         if (playbook_ && playbook_->holds(action.site_id)) break;
         if (site.policy_state().withdrawn()) break;
-        const auto normal = site.spec().global ? anycast::SiteScope::kGlobal
-                                               : anycast::SiteScope::kLocalOnly;
-        if (site.scope() != normal) {
-          deployment_->apply_scope(action.site_id, normal, t);
+        if (site.scope() != site.home_scope()) {
+          deployment_->apply_scope(action.site_id, site.home_scope(), t);
         }
         break;
       }
@@ -1154,8 +1147,20 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
       remembered = std::max(remembered, observed);
       offered.push_back(remembered);
     }
-    const auto advice =
-        anycast::advise_observed(capacity, offered, obs_.get(), svc.letter);
+    const auto advice = anycast::advise(capacity, offered);
+    if (obs_) {
+      // Count every recommendation before applying any: applying one
+      // can register other metrics, and registration order is part of
+      // the telemetry snapshot.
+      for (const auto& a : advice) {
+        if (a.action == anycast::AdvisedAction::kNoAction) continue;
+        obs_->metrics()
+            .counter("defense.advice",
+                     {{"letter", std::string(1, svc.letter)},
+                      {"action", anycast::to_string(a.action)}})
+            .add();
+      }
+    }
     for (const auto& a : advice) {
       const int id = svc.site_ids[static_cast<std::size_t>(a.site_index)];
       auto& site = deployment_->site(id);
@@ -1165,8 +1170,6 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
           kCoolDown) {
         continue;  // operators do not re-decide every minute
       }
-      const auto normal = site.spec().global ? anycast::SiteScope::kGlobal
-                                             : anycast::SiteScope::kLocalOnly;
       const auto before = site.scope();
       switch (a.action) {
         case anycast::AdvisedAction::kWithdraw:
@@ -1181,7 +1184,7 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
           break;
         case anycast::AdvisedAction::kAbsorb:
         case anycast::AdvisedAction::kNoAction:
-          deployment_->apply_scope(id, normal, now);
+          deployment_->apply_scope(id, site.home_scope(), now);
           break;
       }
       if (site.scope() != before) {
@@ -1195,9 +1198,7 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
   }
 }
 
-void SimulationEngine::apply_policy_step(net::SimTime now,
-                                         SimulationResult& result) {
-  (void)result;
+void SimulationEngine::apply_policy_step(net::SimTime now) {
   for (int id = 0; id < deployment_->site_count(); ++id) {
     auto& site = deployment_->site(id);
     // Reactive playbook decisions outrank the static stress policy: a
@@ -1213,29 +1214,7 @@ void SimulationEngine::apply_policy_step(net::SimTime now,
       case anycast::PolicyAction::kNone:
         break;
       case anycast::PolicyAction::kWithdraw: {
-        // A letter's last globally announced site never withdraws: the
-        // operator keeps it up as a degraded absorber (case 5 of §2.2)
-        // rather than blackhole the whole service. Primary/backup letters
-        // are exempt: their fallback is administratively down by design.
-        const auto& svc_of_site = deployment_->service(site.letter());
-        const bool has_backup =
-            svc_of_site.letter_index >= 0 &&
-            deployment_->letters()[static_cast<std::size_t>(
-                svc_of_site.letter_index)].primary_backup;
-        if (site.scope() == anycast::SiteScope::kGlobal && !has_backup) {
-          int global_sites = 0;
-          for (int other : deployment_->service(site.letter()).site_ids) {
-            if (deployment_->site(other).scope() ==
-                anycast::SiteScope::kGlobal) {
-              ++global_sites;
-            }
-          }
-          if (global_sites <= 1) {
-            site.policy_state().veto_withdrawal();
-            note_withdraw_veto(site, now);
-            break;
-          }
-        }
+        if (veto_last_global_withdrawal(site, now)) break;
         const bool partial =
             site.policy_state().policy().partial_withdraw && site.spec().global;
         deployment_->apply_scope(id,
@@ -1245,11 +1224,7 @@ void SimulationEngine::apply_policy_step(net::SimTime now,
         break;
       }
       case anycast::PolicyAction::kReannounce:
-        deployment_->apply_scope(id,
-                                 site.spec().global
-                                     ? anycast::SiteScope::kGlobal
-                                     : anycast::SiteScope::kLocalOnly,
-                                 now);
+        deployment_->apply_scope(id, site.home_scope(), now);
         break;
     }
   }
@@ -1257,17 +1232,13 @@ void SimulationEngine::apply_policy_step(net::SimTime now,
 
 void SimulationEngine::run_playbook_step(net::SimTime now) {
   const auto site_count = static_cast<std::size_t>(deployment_->site_count());
-  if (fault_ && fault_->telemetry_gap()) {
-    // Frozen dashboards: the controller keeps stepping (cooldowns and
-    // confirmation streaks still advance) but sees the last pre-gap
-    // observations. A gap opening before any observation exists shows
-    // clean defaults — no telemetry, no evidence.
-    playbook_obs_.resize(site_count);
-    playbook_->step(now, playbook_obs_, *this);
-    return;
-  }
   playbook_obs_.resize(site_count);
-  for (std::size_t id = 0; id < site_count; ++id) {
+  // In a telemetry gap the dashboards freeze: the controller keeps
+  // stepping (cooldowns and confirmation streaks still advance) but sees
+  // the last pre-gap observations. A gap opening before any observation
+  // exists shows clean defaults — no telemetry, no evidence.
+  const bool gap = fault_ && fault_->telemetry_gap();
+  for (std::size_t id = 0; !gap && id < site_count; ++id) {
     const auto& site = deployment_->site(static_cast<int>(id));
     playbook::SiteObservation& o = playbook_obs_[id];
     o.offered_qps = site.offered_attack_qps() + site.offered_legit_qps();
@@ -1289,27 +1260,8 @@ playbook::ActuationOutcome SimulationEngine::actuate(
   switch (action.kind) {
     case ActionKind::kWithdrawSite:
     case ActionKind::kPartialWithdraw: {
-      // Same guard as the static policy path: a letter's last globally
-      // announced site never withdraws — it stays up as a degraded
-      // absorber (§2.2, case 5). Primary/backup letters are exempt.
-      const auto& svc_of_site = deployment_->service(site.letter());
-      const bool has_backup =
-          svc_of_site.letter_index >= 0 &&
-          deployment_->letters()[static_cast<std::size_t>(
-              svc_of_site.letter_index)].primary_backup;
-      if (site.scope() == anycast::SiteScope::kGlobal && !has_backup) {
-        int global_sites = 0;
-        for (int other : svc_of_site.site_ids) {
-          if (deployment_->site(other).scope() ==
-              anycast::SiteScope::kGlobal) {
-            ++global_sites;
-          }
-        }
-        if (global_sites <= 1) {
-          site.policy_state().veto_withdrawal();
-          note_withdraw_veto(site, now);
-          return ActuationOutcome::kVetoed;
-        }
+      if (veto_last_global_withdrawal(site, now)) {
+        return ActuationOutcome::kVetoed;
       }
       anycast::SiteScope target;
       if (action.kind == ActionKind::kWithdrawSite) {
@@ -1342,10 +1294,8 @@ playbook::ActuationOutcome SimulationEngine::actuate(
       // keeps it withdrawn until its own recovery, which then respects
       // the playbook's (cleared) hold.
       if (fault_ && fault_->holds_site(site_id)) return ActuationOutcome::kNoop;
-      const auto normal = site.spec().global ? anycast::SiteScope::kGlobal
-                                             : anycast::SiteScope::kLocalOnly;
-      if (site.scope() == normal) return ActuationOutcome::kNoop;
-      deployment_->apply_scope(site_id, normal, now);
+      if (site.scope() == site.home_scope()) return ActuationOutcome::kNoop;
+      deployment_->apply_scope(site_id, site.home_scope(), now);
       if (timeline_ != nullptr) {
         std::size_t& open = tl_hold_span_[static_cast<std::size_t>(site_id)];
         if (open != obs::Timeline::npos) {
@@ -1381,16 +1331,37 @@ playbook::ActuationOutcome SimulationEngine::actuate(
   return ActuationOutcome::kNoop;
 }
 
-void SimulationEngine::note_withdraw_veto(const anycast::AnycastSite& site,
-                                          net::SimTime now) {
-  if (!obs_) return;
-  obs_->metrics()
-      .counter("policy.withdraw_veto",
-               {{"letter", std::string(1, site.letter())}})
-      .add();
-  obs_->event(obs::TraceEventType::kWithdrawVeto, now, site.letter(),
-              site.label(), "last global site kept as degraded absorber",
-              static_cast<double>(site.site_id()));
+bool SimulationEngine::veto_last_global_withdrawal(anycast::AnycastSite& site,
+                                                   net::SimTime now) {
+  // A letter's last globally announced site never withdraws: the operator
+  // keeps it up as a degraded absorber (case 5 of §2.2) rather than
+  // blackhole the whole service. Primary/backup letters are exempt: their
+  // fallback is administratively down by design.
+  if (site.scope() != anycast::SiteScope::kGlobal) return false;
+  const auto& svc = deployment_->service(site.letter());
+  if (svc.letter_index >= 0 &&
+      deployment_->letters()[static_cast<std::size_t>(svc.letter_index)]
+          .primary_backup) {
+    return false;
+  }
+  int global_sites = 0;
+  for (const int other : svc.site_ids) {
+    if (deployment_->site(other).scope() == anycast::SiteScope::kGlobal) {
+      ++global_sites;
+    }
+  }
+  if (global_sites > 1) return false;
+  site.policy_state().veto_withdrawal();
+  if (obs_) {
+    obs_->metrics()
+        .counter("policy.withdraw_veto",
+                 {{"letter", std::string(1, site.letter())}})
+        .add();
+    obs_->event(obs::TraceEventType::kWithdrawVeto, now, site.letter(),
+                site.label(), "last global site kept as degraded absorber",
+                static_cast<double>(site.site_id()));
+  }
+  return true;
 }
 
 void SimulationEngine::update_h_root_backup(net::SimTime now) {

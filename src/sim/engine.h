@@ -177,7 +177,7 @@ class SimulationEngine : private playbook::ActuationBackend {
     }
   };
 
-  void apply_policy_step(net::SimTime now, SimulationResult& result);
+  void apply_policy_step(net::SimTime now);
   void apply_adaptive_defense(net::SimTime now);
   /// Registers the flight recorder's series and schedule-derived spans
   /// (telemetry on only) and caches the handles the per-step recording
@@ -200,9 +200,12 @@ class SimulationEngine : private playbook::ActuationBackend {
   playbook::ActuationOutcome actuate(int site_id,
                                      const playbook::Action& action,
                                      net::SimTime now) override;
-  /// Counter + trace event for a refused withdrawal (policy veto and
-  /// playbook veto share this).
-  void note_withdraw_veto(const anycast::AnycastSite& site, net::SimTime now);
+  /// The one last-global-site guard every withdrawal path shares (static
+  /// policy and playbook alike): returns true, after recording the veto
+  /// (site policy state, policy.withdraw_veto counter, trace event), when
+  /// withdrawing `site` would leave its letter with no global site.
+  bool veto_last_global_withdrawal(anycast::AnycastSite& site,
+                                   net::SimTime now);
   void update_h_root_backup(net::SimTime now);
   void run_fluid_step(net::SimTime t, SimulationResult& result,
                       const std::vector<obs::Gauge*>& g_offered,

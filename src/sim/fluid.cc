@@ -1,24 +1,13 @@
 #include "sim/fluid.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
 
 #include "net/packet.h"
 
 namespace rootstress::sim {
-
-ServiceLoad compute_service_load(const anycast::RootDeployment& deployment,
-                                 const anycast::ServiceInfo& service,
-                                 const attack::Botnet& botnet,
-                                 const attack::LegitTraffic& legit,
-                                 double attack_total_qps,
-                                 double legit_total_qps) {
-  ServiceLoad load;
-  compute_service_load_into(deployment, service, botnet, legit,
-                            attack_total_qps, legit_total_qps, load);
-  return load;
-}
 
 void compute_service_load_into(const anycast::RootDeployment& deployment,
                                const anycast::ServiceInfo& service,
@@ -28,40 +17,23 @@ void compute_service_load_into(const anycast::RootDeployment& deployment,
                                double legit_total_qps, ServiceLoad& out) {
   const auto& routing = deployment.routing();
   const auto site_count = static_cast<std::size_t>(deployment.site_count());
+  // RootDeployment always points routeless ASes at the sink lane right
+  // past the last site: per-AS site slots feed branch-free accumulation
+  // with routeless traffic landing in that lane, drained here.
+  assert(routing.unrouted_slot() == static_cast<std::int32_t>(site_count));
   out.attack_qps.resize(site_count + 1);
   out.legit_qps.resize(site_count + 1);
-  if (routing.unrouted_slot() == static_cast<std::int32_t>(site_count)) {
-    // SoA hot path: per-AS site slots feed branch-free accumulation with
-    // routeless traffic landing in the trailing sink lane, drained here.
-    const std::span<const std::int32_t> slots = routing.site_of(service.prefix);
-    if (attack_total_qps > 0.0) {
-      botnet.attack_by_site_into(slots, attack_total_qps, out.attack_qps);
-    } else {
-      std::fill(out.attack_qps.begin(), out.attack_qps.end(), 0.0);
-    }
-    legit.legit_by_site_into(slots, legit_total_qps, out.legit_qps);
-    out.unrouted_attack = out.attack_qps[site_count];
-    out.unrouted_legit = out.legit_qps[site_count];
-    out.attack_qps[site_count] = 0.0;
-    out.legit_qps[site_count] = 0.0;
-    return;
+  const std::span<const std::int32_t> slots = routing.site_of(service.prefix);
+  if (attack_total_qps > 0.0) {
+    botnet.attack_by_site_into(slots, attack_total_qps, out.attack_qps);
+  } else {
+    std::fill(out.attack_qps.begin(), out.attack_qps.end(), 0.0);
   }
-  // Route-based path for routings without a sink slot configured.
-  const auto& routes = routing.routes(service.prefix);
-  out.unrouted_attack = 0.0;
-  out.unrouted_legit = 0.0;
-  const std::span<double> attack(out.attack_qps.data(), site_count);
-  const std::span<double> legit_span(out.legit_qps.data(), site_count);
+  legit.legit_by_site_into(slots, legit_total_qps, out.legit_qps);
+  out.unrouted_attack = out.attack_qps[site_count];
+  out.unrouted_legit = out.legit_qps[site_count];
   out.attack_qps[site_count] = 0.0;
   out.legit_qps[site_count] = 0.0;
-  if (attack_total_qps > 0.0) {
-    botnet.attack_by_site_into(routes, attack_total_qps, attack,
-                               &out.unrouted_attack);
-  } else {
-    std::fill(attack.begin(), attack.end(), 0.0);
-  }
-  legit.legit_by_site_into(routes, legit_total_qps, legit_span,
-                           &out.unrouted_legit);
 }
 
 double site_uplink_gbps(const anycast::AnycastSite& site, double offered_qps,

@@ -30,19 +30,11 @@ struct ServiceLoad {
   double unrouted_legit = 0.0;
 };
 
-/// Computes where one service's traffic lands given current routing.
-/// `attack_total_qps` is 0 when the service is not under attack.
-ServiceLoad compute_service_load(const anycast::RootDeployment& deployment,
-                                 const anycast::ServiceInfo& service,
-                                 const attack::Botnet& botnet,
-                                 const attack::LegitTraffic& legit,
-                                 double attack_total_qps,
-                                 double legit_total_qps);
-
-/// Allocation-free variant: writes into `out`, resizing its per-site
-/// vectors only on first use (the engine preallocates one ServiceLoad
-/// per service and reuses them every step). Safe to call concurrently
-/// for different services/outputs; reads only routing state.
+/// Computes where one service's traffic lands given current routing,
+/// writing into `out`. `attack_total_qps` is 0 when the service is not
+/// under attack. Allocation-free after first use (the engine preallocates
+/// one ServiceLoad per service and reuses them every step). Safe to call
+/// concurrently for different services/outputs; reads only routing state.
 void compute_service_load_into(const anycast::RootDeployment& deployment,
                                const anycast::ServiceInfo& service,
                                const attack::Botnet& botnet,

@@ -1,6 +1,8 @@
 #include "sim/scenario.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "attack/events2015.h"
@@ -47,6 +49,15 @@ std::string validate(const ScenarioConfig& config) {
   }
   if (!(config.deployment.capacity_scale > 0.0)) {
     return "capacity scale must be positive";
+  }
+  if (const auto& syn = config.deployment.synthetic; syn.has_value()) {
+    // Probe records carry the site id as an int16_t; past its range they
+    // would hold wrapped ids.
+    constexpr std::int64_t kMaxSites = std::numeric_limits<std::int16_t>::max();
+    if (std::int64_t{syn->services} * syn->sites_per_service > kMaxSites) {
+      return "synthetic deployment exceeds " + std::to_string(kMaxSites) +
+             " sites (services x sites_per_service)";
+    }
   }
   for (const auto& event : config.schedule.events()) {
     if (!(event.when.begin < event.when.end)) {

@@ -62,7 +62,7 @@ struct ScenarioConfig {
   /// Adaptive defense (the paper's future-work direction, §2.2/§5): when
   /// set, an omniscient per-letter controller overrides the sites' own
   /// stress policies each step, withdrawing exactly the overloaded sites
-  /// whose catchments the rest of the letter can absorb (core::advise).
+  /// whose catchments the rest of the letter can absorb (anycast::advise).
   bool adaptive_defense = false;
 
   /// Reactive defense playbook: a closed-loop controller (detect ->

@@ -67,7 +67,7 @@ class ScenarioBuilder {
                                       double tiering = 0.75);
   /// Forces one stress policy on every site (what-if studies).
   ScenarioBuilder& force_policy(anycast::StressPolicy policy);
-  /// Omniscient per-letter withdraw/absorb controller (core::advise).
+  /// Omniscient per-letter withdraw/absorb controller (anycast::advise).
   ScenarioBuilder& adaptive_defense(bool enabled = true);
   /// Reactive defense playbook (detect -> decide -> actuate from
   /// operator-visible observables only). Mutually exclusive with

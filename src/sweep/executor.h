@@ -53,8 +53,7 @@ enum class ExecutorMode : std::uint8_t {
 std::string to_string(ExecutorMode mode);
 
 /// One place for every threading/fabric knob. CampaignOptions embeds one
-/// of these; the deprecated flat CampaignOptions::workers / lane_budget
-/// fields are merged in by resolved_executor() for source compatibility.
+/// of these.
 struct ExecutorConfig {
   ExecutorMode mode = ExecutorMode::kInProcess;
   /// Concurrent cell workers (threads in-process, processes under the

@@ -12,13 +12,6 @@
 
 namespace rootstress::sweep {
 
-ExecutorConfig resolved_executor(const CampaignOptions& options) {
-  ExecutorConfig config = options.executor;
-  if (config.workers <= 0) config.workers = options.workers;
-  if (config.lane_budget <= 0) config.lane_budget = options.lane_budget;
-  return config;
-}
-
 std::string to_string(CellMetric metric) {
   switch (metric) {
     case CellMetric::kMeanServedAttacked: return "mean_served_attacked";
@@ -240,9 +233,8 @@ CampaignResult run_campaign(const Campaign& campaign,
   }
 
   // Compose outer cell workers with inner engine lanes under one budget,
-  // then build the executor the options name. The deprecated flat knobs
-  // fold into the ExecutorConfig here.
-  ExecutorConfig exec_config = resolved_executor(options);
+  // then build the executor the options name.
+  ExecutorConfig exec_config = options.executor;
   const int lane_budget = util::resolve_thread_count(exec_config.lane_budget);
   int workers = util::resolve_thread_count(exec_config.workers);
   workers = std::min(

@@ -41,12 +41,6 @@ struct CampaignOptions {
   /// mode) — see sweep/executor.h. The single home for parallelism
   /// configuration.
   ExecutorConfig executor;
-  /// DEPRECATED: pre-fabric flat threading knobs, kept so existing
-  /// callers compile unchanged. Nonzero values are merged into
-  /// `executor` by resolved_executor() — `executor.workers` /
-  /// `executor.lane_budget` win when both are set. Use `executor`.
-  int workers = 0;
-  int lane_budget = 0;
   /// Cache directory; empty disables caching (every cell executes).
   std::filesystem::path cache_dir;
   /// Cache salt; change to invalidate every cached summary.
@@ -73,11 +67,6 @@ struct CampaignOptions {
   /// the sink's CellProgress).
   double straggler_factor = 3.0;
 };
-
-/// The effective executor configuration: `options.executor` with the
-/// deprecated flat `workers` / `lane_budget` fields folded in (flat
-/// values apply only where the ExecutorConfig still says auto).
-ExecutorConfig resolved_executor(const CampaignOptions& options);
 
 /// The metric a comparison table projects out of each cell.
 enum class CellMetric : std::uint8_t {

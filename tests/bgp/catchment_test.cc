@@ -1,7 +1,5 @@
 #include "bgp/catchment.h"
 
-#include "bgp/rib.h"
-
 #include <gtest/gtest.h>
 
 namespace rootstress::bgp {
@@ -26,49 +24,6 @@ TEST(Catchment, SizesSumToAsCount) {
   EXPECT_EQ(sizes.per_site[1], 3);
   EXPECT_EQ(sizes.unreachable, 1);
   EXPECT_EQ(sizes.per_site[0] + sizes.per_site[1] + sizes.unreachable, 6);
-}
-
-TEST(Catchment, AsesBySite) {
-  const auto routes = sample_routes();
-  const auto groups = ases_by_site(routes);
-  EXPECT_EQ(groups.at(0), (std::vector<int>{0, 1}));
-  EXPECT_EQ(groups.at(1), (std::vector<int>{2, 3, 4}));
-  EXPECT_EQ(groups.at(-1), (std::vector<int>{5}));
-}
-
-TEST(Catchment, WeightedConservesRoutedWeight) {
-  const auto routes = sample_routes();
-  const std::vector<double> weights{1, 2, 3, 4, 5, 6};
-  const auto per_site = weighted_catchment(routes, weights, 2);
-  EXPECT_DOUBLE_EQ(per_site[0], 3.0);
-  EXPECT_DOUBLE_EQ(per_site[1], 12.0);
-  // Unreachable weight (6) is not assigned anywhere.
-}
-
-TEST(Catchment, ReconstructPathFollowsVias) {
-  // t2(asn 20) -- origin stub a(31), client stub c(33).
-  AsTopology topo;
-  const int t2 = topo.add_as({net::Asn(20), AsTier::kTier2, {0, 0}, "EU"});
-  const int a = topo.add_as({net::Asn(31), AsTier::kStub, {0, 0}, "EU"});
-  const int c = topo.add_as({net::Asn(33), AsTier::kStub, {0, 0}, "EU"});
-  topo.add_transit(t2, a);
-  topo.add_transit(t2, c);
-  const std::vector<AnycastOrigin> origins{
-      AnycastOrigin{0, net::Asn(31), true, false}};
-  const auto routes = compute_routes(topo, origins);
-  EXPECT_EQ(reconstruct_path(topo, routes, c), (std::vector<int>{c, t2, a}));
-  EXPECT_EQ(reconstruct_path(topo, routes, a), (std::vector<int>{a}));
-  // Path length matches the route's AS-path length.
-  EXPECT_EQ(reconstruct_path(topo, routes, c).size(),
-            static_cast<std::size_t>(routes[static_cast<std::size_t>(c)].path_len) + 1);
-}
-
-TEST(Catchment, ReconstructPathUnreachable) {
-  AsTopology topo;
-  topo.add_as({net::Asn(1), AsTier::kStub, {0, 0}, "EU"});
-  const std::vector<RouteChoice> routes(1);
-  EXPECT_TRUE(reconstruct_path(topo, routes, 0).empty());
-  EXPECT_TRUE(reconstruct_path(topo, routes, 99).empty());
 }
 
 TEST(Catchment, HandlesOutOfRangeSiteIds) {

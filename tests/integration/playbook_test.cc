@@ -4,7 +4,8 @@
 // bit-identical across engine thread counts, (c) outrank a static policy
 // regime on the sites it holds, (d) respect the last-global-site veto
 // and leave an observable record of it, and (e) sweep as a first-class
-// campaign axis with distinct cached digests per plan.
+// campaign axis with distinct cached digests per plan. The static policy
+// path shares that veto, and is checked on its own with no playbook.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -182,6 +183,32 @@ TEST(PlaybookIntegration, PlaybookOutranksStaticRegimeAndVetoIsObservable) {
   }
   EXPECT_TRUE(saw_veto_event);
   EXPECT_TRUE(saw_detection_event);
+}
+
+TEST(StaticPolicyVeto, AllWithdrawRegimeKeepsLastGlobalSiteObservably) {
+  // No playbook: the forced all-withdraw regime alone walks the attacked
+  // letters down, and the static path's veto must keep each one's last
+  // global site up — leaving both a counter and a trace event behind.
+  sim::ScenarioConfig config = event_scenario();
+  core::apply_policy_regime(config, core::PolicyRegime::kAllWithdraw);
+
+  sim::SimulationEngine engine(config);
+  const sim::SimulationResult result = engine.run();
+
+  double veto_counter_total = 0.0;
+  for (const auto& sample : result.telemetry.metrics) {
+    if (sample.name == "policy.withdraw_veto") veto_counter_total += sample.value;
+  }
+  EXPECT_GT(veto_counter_total, 0.0);
+  EXPECT_EQ(result.playbook.vetoes, 0u);
+
+  obs::Runtime* obs = engine.telemetry_runtime();
+  ASSERT_NE(obs, nullptr);
+  bool saw_veto_event = false;
+  for (const auto& event : obs->trace().events()) {
+    if (event.type == obs::TraceEventType::kWithdrawVeto) saw_veto_event = true;
+  }
+  EXPECT_TRUE(saw_veto_event);
 }
 
 TEST(PlaybookIntegration, CampaignSweepsPlaybooksWithDistinctCachedDigests) {

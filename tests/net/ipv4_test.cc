@@ -2,20 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <utility>
+
 namespace rootstress::net {
 namespace {
+
+// Compound parameters hold the text as std::string: gtest prints a char
+// pointer inside a pair or tuple as its address, and the printed parameter
+// becomes part of the discovered test name, which must not change from run
+// to run.
+using Ipv4Case = std::pair<std::string, std::uint32_t>;
+using EndpointCase = std::tuple<std::string, std::uint32_t, std::uint16_t>;
 
 TEST(Ipv4, ConstructionAndValue) {
   EXPECT_EQ(Ipv4Addr(192, 0, 2, 1).value(), 0xc0000201u);
   EXPECT_EQ(Ipv4Addr().value(), 0u);
 }
 
-class Ipv4ParseValid
-    : public ::testing::TestWithParam<std::pair<const char*, std::uint32_t>> {
-};
+class Ipv4ParseValid : public ::testing::TestWithParam<Ipv4Case> {};
 
 TEST_P(Ipv4ParseValid, Parses) {
-  const auto [text, value] = GetParam();
+  const auto& [text, value] = GetParam();
   const auto addr = Ipv4Addr::parse(text);
   ASSERT_TRUE(addr.has_value()) << text;
   EXPECT_EQ(addr->value(), value);
@@ -23,11 +33,11 @@ TEST_P(Ipv4ParseValid, Parses) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, Ipv4ParseValid,
-    ::testing::Values(std::pair{"0.0.0.0", 0u},
-                      std::pair{"255.255.255.255", 0xffffffffu},
-                      std::pair{"192.0.2.1", 0xc0000201u},
-                      std::pair{"10.0.0.1", 0x0a000001u},
-                      std::pair{"1.2.3.4", 0x01020304u}));
+    ::testing::Values(Ipv4Case{"0.0.0.0", 0u},
+                      Ipv4Case{"255.255.255.255", 0xffffffffu},
+                      Ipv4Case{"192.0.2.1", 0xc0000201u},
+                      Ipv4Case{"10.0.0.1", 0x0a000001u},
+                      Ipv4Case{"1.2.3.4", 0x01020304u}));
 
 class Ipv4ParseInvalid : public ::testing::TestWithParam<const char*> {};
 
@@ -96,12 +106,10 @@ TEST(Prefix, ParseAndFormat) {
   EXPECT_EQ(p->to_string(), "192.0.2.128/25");
 }
 
-class EndpointParseValid
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, std::uint32_t, std::uint16_t>> {};
+class EndpointParseValid : public ::testing::TestWithParam<EndpointCase> {};
 
 TEST_P(EndpointParseValid, Parses) {
-  const auto [text, addr, port] = GetParam();
+  const auto& [text, addr, port] = GetParam();
   const auto ep = Endpoint::parse(text);
   ASSERT_TRUE(ep.has_value()) << text;
   EXPECT_EQ(ep->addr.value(), addr);
@@ -110,13 +118,10 @@ TEST_P(EndpointParseValid, Parses) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, EndpointParseValid,
-    ::testing::Values(std::tuple{"127.0.0.1:53", 0x7f000001u,
-                                 std::uint16_t{53}},
-                      std::tuple{"0.0.0.0:0", 0u, std::uint16_t{0}},
-                      std::tuple{"192.0.2.1:65535", 0xc0000201u,
-                                 std::uint16_t{65535}},
-                      std::tuple{"10.0.0.1:8053", 0x0a000001u,
-                                 std::uint16_t{8053}}));
+    ::testing::Values(EndpointCase{"127.0.0.1:53", 0x7f000001u, 53},
+                      EndpointCase{"0.0.0.0:0", 0u, 0},
+                      EndpointCase{"192.0.2.1:65535", 0xc0000201u, 65535},
+                      EndpointCase{"10.0.0.1:8053", 0x0a000001u, 8053}));
 
 class EndpointParseInvalid : public ::testing::TestWithParam<const char*> {};
 

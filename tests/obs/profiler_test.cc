@@ -42,7 +42,7 @@ TEST(Profiler, NestedScopesSplitSelfTime) {
       PhaseProfiler::Scope inner(&profiler, "inner");
       // Burn a little time so inner > 0.
       volatile double sink = 0.0;
-      for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i);
+      for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i);
     }
   }
   const auto stats = profiler.stats();

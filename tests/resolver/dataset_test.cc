@@ -19,10 +19,11 @@ namespace {
 sim::ScenarioConfig label_config() {
   sim::ScenarioConfig config;
   // One attack event 10-20 min, one flash crowd 30-40 min, quiet rest.
-  config.schedule = attack::AttackSchedule({attack::AttackEvent{
-      net::SimInterval{net::SimTime::from_minutes(10),
-                       net::SimTime::from_minutes(20)},
-      1e6}});
+  attack::AttackEvent event;
+  event.when = net::SimInterval{net::SimTime::from_minutes(10),
+                                net::SimTime::from_minutes(20)};
+  event.per_letter_qps = 1e6;
+  config.schedule = attack::AttackSchedule({event});
   fault::LegitSurge surge;
   surge.window = net::SimInterval{net::SimTime::from_minutes(30),
                                   net::SimTime::from_minutes(40)};
@@ -55,10 +56,11 @@ sim::ScenarioConfig tiny_run_config() {
                                    .duration(net::SimTime::from_hours(2))
                                    .threads(1)
                                    .build();
-  config.schedule = attack::AttackSchedule({attack::AttackEvent{
-      net::SimInterval{net::SimTime::from_minutes(30),
-                       net::SimTime::from_minutes(60)},
-      5e6}});
+  attack::AttackEvent event;
+  event.when = net::SimInterval{net::SimTime::from_minutes(30),
+                                net::SimTime::from_minutes(60)};
+  event.per_letter_qps = 5e6;
+  config.schedule = attack::AttackSchedule({event});
   resolver::PopulationConfig profile;
   profile.resolvers = 64;
   profile.root_lookups_per_hour = 600.0;

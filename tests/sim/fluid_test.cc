@@ -17,8 +17,8 @@ TEST(Fluid, ServiceLoadConservesTraffic) {
   const auto botnet = attack::Botnet::build(deployment.topology(), {});
   const auto legit = attack::LegitTraffic::build(deployment.topology(), {});
   const auto& svc = deployment.service('K');
-  const auto load =
-      compute_service_load(deployment, svc, botnet, legit, 5e6, 40e3);
+  ServiceLoad load;
+  compute_service_load_into(deployment, svc, botnet, legit, 5e6, 40e3, load);
 
   double attack_total = load.unrouted_attack;
   double legit_total = load.unrouted_legit;
@@ -39,8 +39,9 @@ TEST(Fluid, NoAttackNoAttackLoad) {
   anycast::RootDeployment deployment(small_config());
   const auto botnet = attack::Botnet::build(deployment.topology(), {});
   const auto legit = attack::LegitTraffic::build(deployment.topology(), {});
-  const auto load = compute_service_load(deployment, deployment.service('D'),
-                                         botnet, legit, 0.0, 40e3);
+  ServiceLoad load;
+  compute_service_load_into(deployment, deployment.service('D'), botnet, legit,
+                            0.0, 40e3, load);
   for (const double qps : load.attack_qps) EXPECT_DOUBLE_EQ(qps, 0.0);
   EXPECT_DOUBLE_EQ(load.unrouted_attack, 0.0);
 }
@@ -94,15 +95,9 @@ TEST(Fluid, IntoVariantMatchesAndReusesBuffers) {
   const auto legit = attack::LegitTraffic::build(deployment.topology(), {});
   const auto& svc = deployment.service('K');
 
-  const auto fresh =
-      compute_service_load(deployment, svc, botnet, legit, 5e6, 40e3);
   ServiceLoad reused;
   compute_service_load_into(deployment, svc, botnet, legit, 5e6, 40e3,
                             reused);
-  EXPECT_EQ(reused.attack_qps, fresh.attack_qps);
-  EXPECT_EQ(reused.legit_qps, fresh.legit_qps);
-  EXPECT_DOUBLE_EQ(reused.unrouted_attack, fresh.unrouted_attack);
-  EXPECT_DOUBLE_EQ(reused.unrouted_legit, fresh.unrouted_legit);
 
   // Rewriting the same buffer — including the attack→no-attack edge that
   // must zero stale per-site attack entries — matches a fresh compute.
@@ -110,10 +105,11 @@ TEST(Fluid, IntoVariantMatchesAndReusesBuffers) {
   compute_service_load_into(deployment, svc, botnet, legit, 0.0, 40e3,
                             reused);
   EXPECT_EQ(reused.attack_qps.data(), before);  // no reallocation
-  const auto fresh2 =
-      compute_service_load(deployment, svc, botnet, legit, 0.0, 40e3);
-  EXPECT_EQ(reused.attack_qps, fresh2.attack_qps);
-  EXPECT_EQ(reused.legit_qps, fresh2.legit_qps);
+  ServiceLoad fresh;
+  compute_service_load_into(deployment, svc, botnet, legit, 0.0, 40e3, fresh);
+  EXPECT_EQ(reused.attack_qps, fresh.attack_qps);
+  EXPECT_EQ(reused.legit_qps, fresh.legit_qps);
+  EXPECT_DOUBLE_EQ(reused.unrouted_legit, fresh.unrouted_legit);
   for (const double qps : reused.attack_qps) EXPECT_DOUBLE_EQ(qps, 0.0);
   EXPECT_DOUBLE_EQ(reused.unrouted_attack, 0.0);
 }

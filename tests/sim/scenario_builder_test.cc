@@ -169,6 +169,27 @@ TEST(ScenarioBuilder, RejectsNonPositiveCapacityScale) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ScenarioBuilder, RejectsSyntheticDeploymentsPastInt16SiteIds) {
+  // Probe records store the site id as an int16_t: 32767 sites fit, one
+  // more would wrap.
+  std::string error;
+  EXPECT_TRUE(ScenarioBuilder()
+                  .synthetic_topology(40000, 32767)
+                  .try_build(&error)
+                  .has_value())
+      << error;
+  EXPECT_FALSE(ScenarioBuilder()
+                   .synthetic_topology(40000, 32768)
+                   .try_build(&error)
+                   .has_value());
+  EXPECT_NE(error.find("32767"), std::string::npos) << error;
+  // The bound covers every service's sites together.
+  ScenarioConfig config =
+      ScenarioBuilder().synthetic_topology(40000, 20000).build();
+  config.deployment.synthetic->services = 2;
+  EXPECT_NE(validate(config).find("32767"), std::string::npos);
+}
+
 TEST(ScenarioBuilder, BuildThrowsWithValidateMessage) {
   try {
     ScenarioBuilder::quiet_days().step(net::SimTime(0)).build();

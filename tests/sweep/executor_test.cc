@@ -65,25 +65,6 @@ TEST(ExecutorConfigApi, ModeNamesRoundTrip) {
   EXPECT_EQ(make_executor(fabric)->name(), "subprocess");
 }
 
-TEST(ExecutorConfigApi, DeprecatedFlatFieldsFoldIntoTheConfig) {
-  CampaignOptions legacy;
-  legacy.workers = 3;
-  legacy.lane_budget = 6;
-  const ExecutorConfig resolved = resolved_executor(legacy);
-  EXPECT_EQ(resolved.mode, ExecutorMode::kInProcess);
-  EXPECT_EQ(resolved.workers, 3);
-  EXPECT_EQ(resolved.lane_budget, 6);
-
-  // The ExecutorConfig wins where both are set.
-  CampaignOptions both;
-  both.workers = 3;
-  both.executor.workers = 5;
-  both.executor.mode = ExecutorMode::kSubprocess;
-  const ExecutorConfig merged = resolved_executor(both);
-  EXPECT_EQ(merged.workers, 5);
-  EXPECT_EQ(merged.mode, ExecutorMode::kSubprocess);
-}
-
 TEST(SubprocessExecutor, DigestsMatchInProcessAtOneAndFourWorkers) {
   const Campaign campaign = test_campaign();
 

@@ -50,11 +50,11 @@ TEST(Runner, ResultsIndependentOfOuterWorkerCount) {
   const Campaign campaign = test_campaign();
 
   CampaignOptions serial = quiet_options();
-  serial.workers = 1;
+  serial.executor.workers = 1;
   const CampaignResult a = run_campaign(campaign, serial);
 
   CampaignOptions parallel = quiet_options();
-  parallel.workers = 4;
+  parallel.executor.workers = 4;
   const CampaignResult b = run_campaign(campaign, parallel);
 
   ASSERT_EQ(a.cells.size(), 12u);
@@ -73,7 +73,7 @@ TEST(Runner, ResultsIndependentOfOuterWorkerCount) {
 TEST(Runner, CampaignCellsMatchStandaloneRuns) {
   const Campaign campaign = test_campaign();
   CampaignOptions options = quiet_options();
-  options.workers = 4;
+  options.executor.workers = 4;
   const CampaignResult result = run_campaign(campaign, options);
 
   // Spot-check three cells across the matrix (running all 12 standalone
@@ -226,7 +226,7 @@ TEST(Runner, ProgressSinkSeesEveryExecutedCell) {
   campaign.axes.resize(2);  // 2 x 2 = 4 cells
   RecordingSink sink;
   CampaignOptions options = quiet_options();
-  options.workers = 2;
+  options.executor.workers = 2;
   options.progress_sink = &sink;
   const CampaignResult result = run_campaign(campaign, options);
 
