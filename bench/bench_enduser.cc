@@ -90,8 +90,9 @@ int main(int argc, char** argv) {
   // The paper-realistic November 30 scenario (full topology + atlas
   // probes), not a stripped fluid toy: the gate measures the population
   // against the workload it will actually ride along with.
-  sim::ScenarioConfig config =
-      sim::november_2015_scenario(sim::vp_count_from_env(400));
+  sim::ScenarioConfig config = sim::ScenarioBuilder::november_2015()
+                                   .vp_count(sim::vp_count_from_env(400))
+                                   .build();
 
   config.resolver_profile.reset();
   std::printf("baseline (population off), best of %d...\n", iterations);

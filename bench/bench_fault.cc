@@ -18,7 +18,7 @@
 #include "fault/schedule.h"
 #include "obs/json.h"
 #include "sim/engine.h"
-#include "sim/scenario.h"
+#include "sim/scenario_builder.h"
 
 using namespace rootstress;
 
@@ -110,8 +110,9 @@ int main(int argc, char** argv) {
     threshold_pct = std::atof(env);
   }
 
-  sim::ScenarioConfig config =
-      sim::november_2015_scenario(sim::vp_count_from_env(200));
+  sim::ScenarioConfig config = sim::ScenarioBuilder::november_2015()
+                                   .vp_count(sim::vp_count_from_env(200))
+                                   .build();
 
   std::printf("bare (no fault schedule), best of %d...\n", iterations);
   const RunMeasurement bare = measure(config, iterations);

@@ -1,9 +1,10 @@
 // Telemetry overhead guard: the obs/ subsystem must stay effectively
 // free. Runs the June 2016 event scenario (same shape as
-// bench_event_2016) with telemetry off and on, compares best-of-N wall
-// times, and fails (exit 1) if the instrumented run is more than 5%
-// slower. Writes the measurement to BENCH_obs.json (path overridable as
-// argv[1]); threshold overridable with ROOTSTRESS_OBS_OVERHEAD_MAX.
+// `paper_report event_2016`) with telemetry off and on, compares
+// best-of-N wall times, and fails (exit 1) if the instrumented run is
+// more than 5% slower. Writes the measurement to BENCH_obs.json (path
+// overridable as argv[1]); threshold overridable with
+// ROOTSTRESS_OBS_OVERHEAD_MAX.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -12,7 +13,7 @@
 
 #include "obs/json.h"
 #include "sim/engine.h"
-#include "sim/scenario_2016.h"
+#include "sim/scenario_builder.h"
 
 using namespace rootstress;
 
@@ -60,8 +61,9 @@ int main(int argc, char** argv) {
     threshold_pct = std::atof(env);
   }
 
-  sim::ScenarioConfig config =
-      sim::june_2016_scenario(sim::vp_count_from_env(200));
+  sim::ScenarioConfig config = sim::ScenarioBuilder::events_2016()
+                                   .vp_count(sim::vp_count_from_env(200))
+                                   .build();
 
   config.telemetry = false;
   std::printf("baseline (telemetry off), best of %d...\n", iterations);

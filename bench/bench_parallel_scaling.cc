@@ -21,6 +21,7 @@
 
 #include "obs/json.h"
 #include "sim/engine.h"
+#include "sim/scenario_builder.h"
 
 using namespace rootstress;
 
@@ -34,8 +35,9 @@ struct RunMeasurement {
 };
 
 sim::ScenarioConfig scenario(int threads) {
-  sim::ScenarioConfig config =
-      sim::november_2015_scenario(sim::vp_count_from_env(300));
+  sim::ScenarioConfig config = sim::ScenarioBuilder::november_2015()
+                                   .vp_count(sim::vp_count_from_env(300))
+                                   .build();
   config.probe_letters = {'B', 'D', 'E', 'J', 'K'};
   config.end = net::SimTime::from_hours(12);
   config.probe_window = net::SimInterval{net::SimTime(0), config.end};

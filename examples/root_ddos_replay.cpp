@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       std::printf("wrote telemetry JSON to %s\n", argv[4]);
     }
   }
-  std::puts("\nCompare against the paper via the bench binaries "
-            "(build/bench/bench_fig3 ... bench_table3).");
+  std::puts("\nCompare against the paper via build/bench/paper_report "
+            "(all figures, or name some: paper_report fig3 table3).");
   return 0;
 }

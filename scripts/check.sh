@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Full local gate for the threading work:
 #
-#   1. Release build + the whole test suite, serial (ROOTSTRESS_THREADS=1)
-#      and parallel (ROOTSTRESS_THREADS=4) — the auto thread knob reads
-#      that variable, so this runs every engine test on both paths.
+#   1. Release build with -Werror (the tree must compile warning-free) +
+#      the whole test suite, serial (ROOTSTRESS_THREADS=1) and parallel
+#      (ROOTSTRESS_THREADS=4) — the auto thread knob reads that variable,
+#      so this runs every engine test on both paths. Then the paper's
+#      Table 1 (paper_report table1): its six key observations re-verified
+#      against one full replay; any FAIL row exits non-zero.
 #   2. Bit-identity gate: the benchmark's replay and campaign workloads at
 #      seed 1 (perfbench/run.py, its own Release build) must report zero
 #      failed output checks — their digests must equal the references
@@ -69,7 +72,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "=== Release build ==="
-cmake -B build/check-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake -B build/check-release -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build/check-release -j
 
 echo "=== Test suite, serial (ROOTSTRESS_THREADS=1) ==="
@@ -77,6 +81,9 @@ echo "=== Test suite, serial (ROOTSTRESS_THREADS=1) ==="
 
 echo "=== Test suite, parallel (ROOTSTRESS_THREADS=4) ==="
 (cd build/check-release && ROOTSTRESS_THREADS=4 ctest --output-on-failure -j)
+
+echo "=== Paper gate: Table 1's key observations must all PASS ==="
+./build/check-release/bench/paper_report table1
 
 echo "=== Bit-identity gate: pinned replay and campaign digests at seed 1 ==="
 for workload in replay campaign; do

@@ -49,9 +49,8 @@ std::vector<SiteSpec> synthesize_sites(int count, int global_count,
       // Exhausted metros get deterministic pseudo-codes ("Q" + 2 letters)
       // colocated near a real metro; the paper similarly observes more
       // sites than it can name for large letters.
-      code = "Q";
-      code += static_cast<char>('A' + (synthetic / 26) % 26);
-      code += static_cast<char>('A' + synthetic % 26);
+      code = std::string{'Q', static_cast<char>('A' + (synthetic / 26) % 26),
+                         static_cast<char>('A' + synthetic % 26)};
       ++synthetic;
       if (used.contains(code)) continue;
     }

@@ -1,6 +1,7 @@
 #include "atlas/trace_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -40,6 +41,8 @@ std::vector<std::string_view> split(std::string_view line) {
   return fields;
 }
 
+/// Parses `text` into `out`, rejecting trailing junk, integers outside
+/// T's range (no silent narrowing), and non-finite floating values.
 template <typename T>
 bool parse_num(std::string_view text, T& out) {
   const auto* end = text.data() + text.size();
@@ -49,11 +52,19 @@ bool parse_num(std::string_view text, T& out) {
     char* parse_end = nullptr;
     const std::string owned(text);
     out = static_cast<T>(std::strtod(owned.c_str(), &parse_end));
-    return parse_end == owned.c_str() + owned.size() && !owned.empty();
+    return parse_end == owned.c_str() + owned.size() && !owned.empty() &&
+           std::isfinite(out);
   } else {
     const auto [next, ec] = std::from_chars(text.data(), end, out);
     return ec == std::errc() && next == end;
   }
+}
+
+/// The shortest text that parses back to exactly `v`.
+std::string exact(double v) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, result.ptr);
 }
 
 }  // namespace
@@ -84,19 +95,14 @@ std::optional<RecordSet> read_records_csv(std::istream& is,
     const auto fields = split(line);
     if (fields.size() != 8) return fail(row);
     ProbeRecord r;
-    int letter = 0, outcome_site = 0, server = 0, rcode = 0;
     const auto outcome = outcome_from(fields[3]);
     if (!parse_num(fields[0], r.vp) || !parse_num(fields[1], r.t_s) ||
-        !parse_num(fields[2], letter) || !outcome ||
-        !parse_num(fields[4], outcome_site) || !parse_num(fields[5], server) ||
-        !parse_num(fields[6], r.rtt_ms) || !parse_num(fields[7], rcode)) {
+        !parse_num(fields[2], r.letter_index) || !outcome ||
+        !parse_num(fields[4], r.site_id) || !parse_num(fields[5], r.server) ||
+        !parse_num(fields[6], r.rtt_ms) || !parse_num(fields[7], r.rcode)) {
       return fail(row);
     }
-    r.letter_index = static_cast<std::uint8_t>(letter);
     r.outcome = *outcome;
-    r.site_id = static_cast<std::int16_t>(outcome_site);
-    r.server = static_cast<std::uint8_t>(server);
-    r.rcode = static_cast<std::uint8_t>(rcode);
     records.push_back(r);
   }
   return records;
@@ -106,9 +112,9 @@ void write_vps_csv(const std::vector<VantagePoint>& vps, std::ostream& os) {
   os << "id,as_index,address,lat,lon,region,firmware,hijacked,phase_ms\n";
   for (const auto& vp : vps) {
     os << vp.id << ',' << vp.as_index << ',' << vp.address.to_string() << ','
-       << vp.location.lat << ',' << vp.location.lon << ',' << vp.region << ','
-       << vp.firmware << ',' << (vp.hijacked ? 1 : 0) << ',' << vp.phase_ms
-       << '\n';
+       << exact(vp.location.lat) << ',' << exact(vp.location.lon) << ','
+       << vp.region << ',' << vp.firmware << ',' << (vp.hijacked ? 1 : 0)
+       << ',' << vp.phase_ms << '\n';
   }
 }
 
@@ -128,19 +134,19 @@ std::optional<std::vector<VantagePoint>> read_vps_csv(std::istream& is,
     const auto fields = split(line);
     if (fields.size() != 9) return fail(row);
     VantagePoint vp;
-    int hijacked = 0;
+    unsigned hijacked = 0;
     const auto addr = net::Ipv4Addr::parse(fields[2]);
     if (!parse_num(fields[0], vp.id) || !parse_num(fields[1], vp.as_index) ||
         !addr || !parse_num(fields[3], vp.location.lat) ||
         !parse_num(fields[4], vp.location.lon) ||
         !parse_num(fields[6], vp.firmware) ||
-        !parse_num(fields[7], hijacked) ||
+        !parse_num(fields[7], hijacked) || hijacked > 1 ||
         !parse_num(fields[8], vp.phase_ms)) {
       return fail(row);
     }
     vp.address = *addr;
     vp.region = std::string(fields[5]);
-    vp.hijacked = hijacked != 0;
+    vp.hijacked = hijacked == 1;
     vps.push_back(std::move(vp));
   }
   return vps;

@@ -68,7 +68,6 @@
 #include "resolver/population.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
-#include "sim/scenario_2016.h"
 
 // Simulation construction.
 #include "sim/scenario_builder.h"

@@ -623,22 +623,37 @@ void SimulationEngine::setup_timeline() {
   }
 }
 
+SimulationEngine::LetterView SimulationEngine::letter_view(
+    std::size_t s) const {
+  // Answered fraction weighs legit traffic only (the paper's user-view
+  // reachability); failed includes unrouted legit from pass 2.
+  const double denom = step_served_legit_[s] + prev_failed_legit_[s];
+  // Offered-weighted mean queue delay: the letter's RTT inflation as its
+  // clients experience it.
+  const auto& load = current_loads_[s];
+  double weighted_delay = 0.0;
+  double offered_across = 0.0;
+  for (int id : deployment_->services()[s].site_ids) {
+    const auto idx = static_cast<std::size_t>(id);
+    const double offered = load.attack_qps[idx] + load.legit_qps[idx];
+    weighted_delay +=
+        deployment_->site(id).outcome().queue_delay_ms * offered;
+    offered_across += offered;
+  }
+  return {denom > 0.0 ? step_served_legit_[s] / denom : 1.0,
+          offered_across > 0.0 ? weighted_delay / offered_across : 0.0};
+}
+
 void SimulationEngine::record_timeline_step(net::SimTime t) {
   const auto& services = deployment_->services();
   for (std::size_t s = 0; s < services.size(); ++s) {
-    const auto& svc = services[s];
     const auto& load = current_loads_[s];
+    const LetterView view = letter_view(s);
     timeline_->record(tl_letter_offered_[s], t, step_offered_[s]);
     timeline_->record(tl_letter_served_[s], t, step_served_[s]);
-    // Answered fraction weighs legit traffic only (the paper's user-view
-    // reachability); failed includes unrouted legit from pass 2.
-    const double denom = step_served_legit_[s] + prev_failed_legit_[s];
-    timeline_->record(tl_letter_answered_[s], t,
-                      denom > 0.0 ? step_served_legit_[s] / denom : 1.0);
-    double weighted_delay = 0.0;
-    double offered_across = 0.0;
+    timeline_->record(tl_letter_answered_[s], t, view.answered);
     int announced = 0;
-    for (int id : svc.site_ids) {
+    for (int id : services[s].site_ids) {
       const auto& site = deployment_->site(id);
       const auto idx = static_cast<std::size_t>(id);
       const double offered = load.attack_qps[idx] + load.legit_qps[idx];
@@ -648,14 +663,8 @@ void SimulationEngine::record_timeline_step(net::SimTime t) {
       timeline_->record(tl_site_state_[idx], t,
                         anycast::scope_level(site.scope()));
       if (site.scope() != anycast::SiteScope::kDown) ++announced;
-      weighted_delay += site.outcome().queue_delay_ms * offered;
-      offered_across += offered;
     }
-    // Offered-weighted mean queue delay: the letter's RTT inflation as
-    // its clients experience it.
-    timeline_->record(
-        tl_letter_delay_[s], t,
-        offered_across > 0.0 ? weighted_delay / offered_across : 0.0);
+    timeline_->record(tl_letter_delay_[s], t, view.delay_ms);
     timeline_->record(tl_letter_announced_[s], t,
                       static_cast<double>(announced));
   }
@@ -699,35 +708,21 @@ void SimulationEngine::record_timeline_step(net::SimTime t) {
 }
 
 void SimulationEngine::run_resolver_step(net::SimTime t) {
-  // Inputs mirror the flight recorder's letter series exactly: the legit
-  // answered fraction and the offered-weighted queue delay of each root
-  // letter, read from the fluid step that just published. '.nl' is not a
-  // root letter and is skipped.
+  // Inputs are the flight recorder's letter series (letter_view): the
+  // legit answered fraction and the offered-weighted queue delay of each
+  // root letter, read from the fluid step that just published. '.nl' is
+  // not a root letter and is skipped.
   constexpr double kBaseRttMs = 60.0;
   const auto& services = deployment_->services();
   resolver_success_.fill(1.0);
   resolver_rtt_ms_.fill(kBaseRttMs);
   for (std::size_t s = 0; s < services.size(); ++s) {
-    const auto& svc = services[s];
-    const int li = svc.letter_index;
+    const int li = services[s].letter_index;
     if (li < 0 || li >= static_cast<int>(resolver::kLetterCount)) continue;
     const auto lane = static_cast<std::size_t>(li);
-    const double denom = step_served_legit_[s] + prev_failed_legit_[s];
-    resolver_success_[lane] =
-        denom > 0.0 ? step_served_legit_[s] / denom : 1.0;
-    const auto& load = current_loads_[s];
-    double weighted_delay = 0.0;
-    double offered_across = 0.0;
-    for (int id : svc.site_ids) {
-      const auto idx = static_cast<std::size_t>(id);
-      const double offered = load.attack_qps[idx] + load.legit_qps[idx];
-      weighted_delay +=
-          deployment_->site(id).outcome().queue_delay_ms * offered;
-      offered_across += offered;
-    }
-    resolver_rtt_ms_[lane] =
-        kBaseRttMs +
-        (offered_across > 0.0 ? weighted_delay / offered_across : 0.0);
+    const LetterView view = letter_view(s);
+    resolver_success_[lane] = view.answered;
+    resolver_rtt_ms_[lane] = kBaseRttMs + view.delay_ms;
   }
   // Flash crowds raise client demand exactly as they raise the fluid
   // model's legit rate.

@@ -188,6 +188,13 @@ class SimulationEngine : private playbook::ActuationBackend {
   /// already-computed state — nothing in the simulation reads the
   /// timeline back, so recording cannot perturb results.
   void record_timeline_step(net::SimTime t);
+  /// One letter's user view of the fluid step just published, shared by
+  /// the flight recorder and the resolver population.
+  struct LetterView {
+    double answered;  ///< legit answered fraction (1 with no legit load)
+    double delay_ms;  ///< offered-weighted mean queue delay of its sites
+  };
+  LetterView letter_view(std::size_t service) const;
   /// Advances the fault runtime to `t` and applies whatever injections
   /// came due (site failures/recoveries, BGP session flaps). Serial
   /// phase, before any defense layer runs, so holds are current.

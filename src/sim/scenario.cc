@@ -5,30 +5,7 @@
 #include <limits>
 #include <string>
 
-#include "attack/events2015.h"
-
 namespace rootstress::sim {
-
-ScenarioConfig november_2015_scenario(int vp_count, double attack_qps,
-                                      bool include_baseline_week) {
-  ScenarioConfig config;
-  config.population.vp_count = vp_count;
-  config.schedule = attack::events_of_november_2015(attack_qps);
-  config.start = include_baseline_week ? net::SimTime::from_hours(-7 * 24)
-                                       : net::SimTime(0);
-  config.end = net::SimTime::from_hours(48);
-  config.probe_window =
-      net::SimInterval{net::SimTime(0), net::SimTime::from_hours(48)};
-  return config;
-}
-
-ScenarioConfig quiet_days_scenario(int vp_count) {
-  ScenarioConfig config;
-  config.population.vp_count = vp_count;
-  // No schedule: quiet days. Same deployment/measurement as the event
-  // scenario so per-site medians are comparable.
-  return config;
-}
 
 std::string validate(const ScenarioConfig& config) {
   if (!(config.start < config.end)) {

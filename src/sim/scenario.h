@@ -96,19 +96,6 @@ struct ScenarioConfig {
   bool telemetry = true;
 };
 
-/// The paper's two-day event scenario: events of Nov 30 and Dec 1 at
-/// `attack_qps` per attacked letter, with `vp_count` vantage points.
-/// `include_baseline_week` extends the span to cover the seven RSSAC
-/// baseline days before the event (probing still covers only the two
-/// event days).
-ScenarioConfig november_2015_scenario(int vp_count = 1200,
-                                      double attack_qps = 5e6,
-                                      bool include_baseline_week = false);
-
-/// Two quiet days with the same deployment and measurement — the paper's
-/// "normal week" control for catchment stability (§3.3.1).
-ScenarioConfig quiet_days_scenario(int vp_count = 1200);
-
 /// Reads ROOTSTRESS_VPS from the environment, else returns `fallback`
 /// (benches use this so users can re-run at full Atlas scale).
 int vp_count_from_env(int fallback);

@@ -4,18 +4,26 @@
 #include <stdexcept>
 #include <utility>
 
+#include "attack/events2015.h"
+#include "attack/events2016.h"
+
 namespace rootstress::sim {
 
 ScenarioBuilder ScenarioBuilder::november_2015() {
-  return ScenarioBuilder(november_2015_scenario());
+  return quiet_days().schedule(attack::events_of_november_2015(5e6));
 }
 
 ScenarioBuilder ScenarioBuilder::quiet_days() {
-  return ScenarioBuilder(quiet_days_scenario());
+  // The default two-day span and probe window, no attack schedule, and
+  // the presets' shared 1200-VP population, so per-site medians compare
+  // across presets.
+  ScenarioConfig config;
+  config.population.vp_count = 1200;
+  return ScenarioBuilder(std::move(config));
 }
 
 ScenarioBuilder ScenarioBuilder::events_2016() {
-  return ScenarioBuilder(june_2016_scenario());
+  return quiet_days().schedule(attack::events_of_june_2016(6e6));
 }
 
 ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t seed) {

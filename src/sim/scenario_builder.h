@@ -4,10 +4,10 @@
 // but mutating it by hand is easy to get subtly wrong (a probe window
 // outside the simulated span silently measures nothing; a bin width that
 // is not a step multiple misaligns every series). The builder is the
-// front door: named setters, named presets replacing the positional
-// `november_2015_scenario(int, double, bool)` family, and a build() that
-// checks every cross-field invariant and reports the first violation
-// instead of letting the run mis-simulate.
+// front door: named setters, named presets (the only definition of the
+// paper's scenarios), and a build() that checks every cross-field
+// invariant and reports the first violation instead of letting the run
+// mis-simulate.
 //
 //   auto config = sim::ScenarioBuilder::november_2015()
 //                     .vp_count(400)
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "sim/scenario.h"
-#include "sim/scenario_2016.h"
 
 namespace rootstress::sim {
 
@@ -34,13 +33,17 @@ class ScenarioBuilder {
   /// wrap a hand-built config to get validation for free).
   explicit ScenarioBuilder(ScenarioConfig base) : config_(std::move(base)) {}
 
-  // -- Named presets (replace the positional factory arguments) --------
+  // -- Named presets ------------------------------------------------------
+  // Each spans the two days from 2015-11-30T00:00Z, probes all of it
+  // with 1200 VPs, and differs only in the attack schedule.
 
-  /// The paper's Nov 30 / Dec 1, 2015 two-event scenario.
+  /// The paper's Nov 30 / Dec 1, 2015 two-event scenario at 5 Mq/s per
+  /// attacked letter.
   static ScenarioBuilder november_2015();
   /// Two quiet days, same deployment and measurement (§3.3.1 control).
   static ScenarioBuilder quiet_days();
-  /// The June 25, 2016 follow-up event (§2.3 "Generalizing").
+  /// The June 25, 2016 follow-up event (§2.3 "Generalizing"): the single
+  /// ~3-hour pulse at 6 Mq/s per attacked letter.
   static ScenarioBuilder events_2016();
 
   // -- Simulation identity and resources --------------------------------

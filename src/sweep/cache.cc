@@ -273,9 +273,9 @@ void RunCache::store(std::uint64_t key, const RunSummary& summary) {
   // keeps concurrent same-key writers (identical content) from colliding
   // mid-write.
   std::filesystem::path tmp = path;
-  tmp += "." + std::to_string(
-                   stores_.fetch_add(1, std::memory_order_relaxed)) +
-         ".tmp";
+  tmp += ".";
+  tmp += std::to_string(stores_.fetch_add(1, std::memory_order_relaxed));
+  tmp += ".tmp";
   {
     std::ofstream out(tmp);
     if (!out) return;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/scenario_2016.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress::attack {
 namespace {
@@ -19,7 +19,8 @@ TEST(Events2016, SinglePulseShape) {
 }
 
 TEST(Events2016, ScenarioFactoryWiresSchedule) {
-  const auto config = sim::june_2016_scenario(100, 7e6);
+  const auto config =
+      sim::ScenarioBuilder::events_2016().vp_count(100).attack_qps(7e6).build();
   ASSERT_EQ(config.schedule.events().size(), 1u);
   EXPECT_DOUBLE_EQ(config.schedule.events()[0].per_letter_qps, 7e6);
   EXPECT_EQ(config.population.vp_count, 100);

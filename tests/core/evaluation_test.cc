@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/scenario_builder.h"
+
 namespace rootstress::core {
 namespace {
 
 sim::ScenarioConfig fast_scenario() {
-  sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/120);
+  sim::ScenarioConfig config =
+      sim::ScenarioBuilder::november_2015().vp_count(120).build();
   config.deployment.topology.stub_count = 250;
   config.end = net::SimTime::from_hours(10);
   config.probe_window.end = config.end;

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/scenario_builder.h"
+
 namespace rootstress::core {
 namespace {
 
 class ReportWriterTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/80);
+    sim::ScenarioConfig config =
+        sim::ScenarioBuilder::november_2015().vp_count(80).build();
     config.deployment.topology.stub_count = 250;
     config.end = net::SimTime::from_hours(10);
     config.probe_window.end = config.end;

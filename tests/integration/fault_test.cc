@@ -9,6 +9,7 @@
 #include "attack/events2015.h"
 #include "fault/schedule.h"
 #include "sim/engine.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress {
 namespace {
@@ -17,7 +18,8 @@ using net::SimInterval;
 using net::SimTime;
 
 sim::ScenarioConfig fast_scenario(int threads = 1) {
-  sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/150);
+  sim::ScenarioConfig config =
+      sim::ScenarioBuilder::november_2015().vp_count(150).build();
   config.deployment.topology.stub_count = 250;
   config.end = SimTime::from_hours(10);
   config.probe_window.end = config.end;

@@ -12,6 +12,7 @@
 #include "analysis/site_stability.h"
 #include "attack/events2015.h"
 #include "core/evaluation.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress {
 namespace {
@@ -20,7 +21,8 @@ namespace {
 class PaperShapes : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/400);
+    sim::ScenarioConfig config =
+        sim::ScenarioBuilder::november_2015().vp_count(400).build();
     config.probe_letters = {'B', 'D', 'E', 'J', 'K'};
     report_ = new core::EvaluationReport(core::evaluate_scenario(config));
   }

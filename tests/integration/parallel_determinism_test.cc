@@ -9,12 +9,14 @@
 #include <cstring>
 
 #include "sim/engine.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress {
 namespace {
 
 sim::ScenarioConfig reduced_event_scenario(int threads) {
-  sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/160);
+  sim::ScenarioConfig config =
+      sim::ScenarioBuilder::november_2015().vp_count(160).build();
   config.probe_letters = {'B', 'D', 'K'};
   config.end = net::SimTime::from_hours(8);  // covers the first event
   config.probe_window = net::SimInterval{net::SimTime(0), config.end};

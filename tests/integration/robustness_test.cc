@@ -10,12 +10,14 @@
 #include "atlas/binning.h"
 #include "atlas/trace_io.h"
 #include "sim/engine.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress {
 namespace {
 
 sim::ScenarioConfig tiny_base() {
-  sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/30);
+  sim::ScenarioConfig config =
+      sim::ScenarioBuilder::november_2015().vp_count(30).build();
   config.deployment.topology.stub_count = 150;
   config.end = net::SimTime::from_hours(2);
   config.probe_window.end = config.end;

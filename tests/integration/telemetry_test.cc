@@ -15,7 +15,7 @@
 #include "obs/json.h"
 #include "obs/runtime.h"
 #include "sim/engine.h"
-#include "sim/scenario.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress {
 namespace {
@@ -24,7 +24,8 @@ sim::ScenarioConfig small_event_scenario() {
   // Event 1 only (06:50-09:30 of day 0) with no probing/collector: cheap
   // enough to run per test process, still heavy enough that attacked
   // letters overload and their policies withdraw sites.
-  sim::ScenarioConfig config = sim::november_2015_scenario(/*vp_count=*/16);
+  sim::ScenarioConfig config =
+      sim::ScenarioBuilder::november_2015().vp_count(16).build();
   config.end = net::SimTime::from_hours(14);
   config.collect_records = false;
   config.enable_collector = false;

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "attack/events2015.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress::sim {
 namespace {
@@ -12,7 +13,8 @@ namespace {
 /// A fast scenario: 9 hours covering event 1, two probed letters, a small
 /// population and topology.
 ScenarioConfig fast_scenario() {
-  ScenarioConfig config = november_2015_scenario(/*vp_count=*/150);
+  ScenarioConfig config =
+      ScenarioBuilder::november_2015().vp_count(150).build();
   config.deployment.topology.stub_count = 250;
   config.end = net::SimTime::from_hours(10);
   config.probe_window.end = config.end;

@@ -4,34 +4,43 @@
 
 #include <stdexcept>
 
+#include "attack/events2015.h"
+#include "attack/events2016.h"
+
 namespace rootstress::sim {
 namespace {
 
-TEST(ScenarioBuilder, November2015PresetMatchesLegacyFactory) {
-  const ScenarioConfig legacy = november_2015_scenario();
-  const ScenarioConfig built = ScenarioBuilder::november_2015().build();
-  EXPECT_EQ(built.seed, legacy.seed);
-  EXPECT_EQ(built.start.ms, legacy.start.ms);
-  EXPECT_EQ(built.end.ms, legacy.end.ms);
-  EXPECT_EQ(built.population.vp_count, legacy.population.vp_count);
-  ASSERT_EQ(built.schedule.events().size(), legacy.schedule.events().size());
-  for (std::size_t i = 0; i < built.schedule.events().size(); ++i) {
-    EXPECT_EQ(built.schedule.events()[i].per_letter_qps,
-              legacy.schedule.events()[i].per_letter_qps);
-  }
+/// Every preset spans the two days from time 0, probes all of it, and
+/// carries the default seed and a 1200-VP population.
+void expect_two_day_preset(const ScenarioConfig& config) {
+  EXPECT_EQ(config.seed, ScenarioConfig{}.seed);
+  EXPECT_EQ(config.start.ms, 0);
+  EXPECT_EQ(config.end, net::SimTime::from_hours(48));
+  EXPECT_EQ(config.probe_window.begin.ms, 0);
+  EXPECT_EQ(config.probe_window.end, net::SimTime::from_hours(48));
+  EXPECT_EQ(config.population.vp_count, 1200);
 }
 
-TEST(ScenarioBuilder, QuietAnd2016PresetsMatchLegacyFactories) {
+TEST(ScenarioBuilder, November2015PresetFields) {
+  const ScenarioConfig built = ScenarioBuilder::november_2015().build();
+  expect_two_day_preset(built);
+  const auto& events = built.schedule.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].when, attack::kEvent1);
+  EXPECT_EQ(events[1].when, attack::kEvent2);
+  for (const auto& event : events) EXPECT_EQ(event.per_letter_qps, 5e6);
+}
+
+TEST(ScenarioBuilder, QuietAnd2016PresetFields) {
   const ScenarioConfig quiet = ScenarioBuilder::quiet_days().build();
-  const ScenarioConfig quiet_legacy = quiet_days_scenario();
-  EXPECT_EQ(quiet.schedule.events().size(),
-            quiet_legacy.schedule.events().size());
-  EXPECT_EQ(quiet.end.ms, quiet_legacy.end.ms);
+  expect_two_day_preset(quiet);
+  EXPECT_TRUE(quiet.schedule.events().empty());
 
   const ScenarioConfig y16 = ScenarioBuilder::events_2016().build();
-  const ScenarioConfig y16_legacy = june_2016_scenario();
-  ASSERT_EQ(y16.schedule.events().size(), y16_legacy.schedule.events().size());
-  EXPECT_EQ(y16.end.ms, y16_legacy.end.ms);
+  expect_two_day_preset(y16);
+  ASSERT_EQ(y16.schedule.events().size(), 1u);
+  EXPECT_EQ(y16.schedule.events()[0].when, attack::kEvent2016);
+  EXPECT_EQ(y16.schedule.events()[0].per_letter_qps, 6e6);
 }
 
 TEST(ScenarioBuilder, SyntheticTopologySizesDeploymentToTarget) {

@@ -4,19 +4,26 @@
 
 #include "attack/events2015.h"
 #include "sim/engine.h"
+#include "sim/scenario_builder.h"
 
 namespace rootstress::sim {
 namespace {
 
 TEST(Scenario, DefaultsAreValid) {
   EXPECT_TRUE(validate(ScenarioConfig{}).empty());
-  EXPECT_TRUE(validate(november_2015_scenario(100)).empty());
-  EXPECT_TRUE(validate(november_2015_scenario(100, 5e6, true)).empty());
-  EXPECT_TRUE(validate(quiet_days_scenario(100)).empty());
+  const auto nov = ScenarioBuilder::november_2015().vp_count(100);
+  EXPECT_TRUE(validate(nov.peek()).empty());
+  EXPECT_TRUE(validate(ScenarioBuilder(nov).include_baseline_week().build())
+                  .empty());
+  EXPECT_TRUE(
+      validate(ScenarioBuilder::quiet_days().vp_count(100).peek()).empty());
 }
 
 TEST(Scenario, BaselineWeekExtendsSpanButNotProbing) {
-  const auto config = november_2015_scenario(100, 5e6, true);
+  const auto config = ScenarioBuilder::november_2015()
+                          .vp_count(100)
+                          .include_baseline_week()
+                          .build();
   EXPECT_EQ(config.start, net::SimTime::from_hours(-7 * 24));
   EXPECT_EQ(config.probe_window.begin, net::SimTime(0));
 }
