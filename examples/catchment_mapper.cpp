@@ -39,13 +39,21 @@ int main() {
     const auto& route = routes[static_cast<std::size_t>(vp.as_index)];
     if (!route.reachable()) continue;
 
-    // The measurement path: real CHAOS query, real wire format.
+    // The measurement path: real CHAOS query, real wire format. The site
+    // decides whether the probe gets through and which server answers;
+    // that server decodes the query bytes and its reply travels back as
+    // bytes too.
     const auto query = dns::encode(dns::make_chaos_query(
         static_cast<std::uint16_t>(vp.id)));
-    auto reply = deployment.site(route.site_id)
-                     .probe(vp.address, query, net::SimTime(0), rng);
+    auto& site = deployment.site(route.site_id);
+    const auto reply = site.probe(vp.address, rng);
     if (!reply.answered) continue;
-    const auto response = dns::decode(reply.wire);
+    const auto answer = site.server(reply.server - 1)
+                            .dns()
+                            .answer(*dns::decode(query), vp.address,
+                                    net::SimTime(0));
+    if (!answer) continue;
+    const auto response = dns::decode(dns::encode(*answer));
     const auto txt = response->answers.front().txt_value();
     const auto identity = dns::parse_identity('K', *txt);
     if (!identity) continue;

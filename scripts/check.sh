@@ -59,8 +59,11 @@
 #      bench_enduser (stepping the population must cost < 5% wall clock
 #      and leave every server-side series bit-identical, writing
 #      BENCH_enduser.json).
-#  11. Debug build with ThreadSanitizer, running the thread-pool unit
-#      tests, the parallel-determinism integration test, the
+#  11. Debug build with ThreadSanitizer and -Werror, running the
+#      thread-pool unit tests, the parallel-determinism integration test
+#      (its 4-thread run also exercises the per-probe wire cross-check:
+#      debug builds re-run every answered probe's CHAOS reply through
+#      the codec and compare it with the engine's reply table), the
 #      incremental-vs-full BGP cross-check (debug builds cross-check
 #      every mutation), the resolver-population unit tests (sharded
 #      stepping races), and the netio socket/server/generator tests
@@ -224,7 +227,7 @@ echo "=== Resolver-population overhead: in-loop clients must stay free ==="
 
 echo "=== Debug + ThreadSanitizer build ==="
 cmake -B build/check-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -Werror" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build/check-tsan -j --target util_test integration_test netio_test resolver_test
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dns/wire.h"
 #include "obs/runtime.h"
 #include "util/logging.h"
 
@@ -127,16 +126,7 @@ int AnycastSite::pick_server(net::Ipv4Addr source) const noexcept {
                    static_cast<std::uint64_t>(site_id_));
 }
 
-ProbeReply AnycastSite::probe(net::Ipv4Addr source,
-                              const std::vector<std::uint8_t>& query_wire,
-                              net::SimTime now, util::Rng& rng) {
-  const auto query = dns::decode(query_wire);
-  if (!query) return ProbeReply{};
-  return probe(source, *query, now, rng);
-}
-
-ProbeReply AnycastSite::probe(net::Ipv4Addr source, const dns::Message& query,
-                              net::SimTime now, util::Rng& rng) {
+ProbeReply AnycastSite::probe(net::Ipv4Addr source, util::Rng& rng) const {
   ProbeReply reply;
   if (scope_ == SiteScope::kDown) return reply;
 
@@ -165,14 +155,9 @@ ProbeReply AnycastSite::probe(net::Ipv4Addr source, const dns::Message& query,
 
   if (rng.chance(loss)) return reply;
 
-  auto response = servers_[static_cast<std::size_t>(server_index)].dns().answer(
-      query, source, now);
-  if (!response) return reply;
-
   reply.answered = true;
   reply.server = server_index + 1;
   reply.extra_delay_ms = delay_ms * rng.uniform(0.85, 1.1);
-  reply.wire = dns::encode(*response);
   return reply;
 }
 

@@ -41,12 +41,13 @@ constexpr double scope_level(SiteScope scope) noexcept {
   return 0.0;
 }
 
-/// Result of delivering one probe to the site.
+/// Result of delivering one probe to the site. The site decides only
+/// whether the probe gets through and which server answers; the reply
+/// itself comes from `server(server - 1).dns()`.
 struct ProbeReply {
   bool answered = false;
   int server = 0;               ///< 1-based index of the answering server
   double extra_delay_ms = 0.0;  ///< queueing delay beyond propagation
-  std::vector<std::uint8_t> wire;  ///< encoded DNS response (if answered)
 };
 
 /// Telemetry wiring for one site: a nullable runtime plus cached
@@ -124,20 +125,18 @@ class AnycastSite {
   /// Loss a query experiences arriving at this step (queue + facility).
   double arrival_loss() const noexcept { return arrival_loss_; }
 
-  /// Delivers one probe query (wire bytes) from `source` at `now`.
-  ProbeReply probe(net::Ipv4Addr source,
-                   const std::vector<std::uint8_t>& query_wire,
-                   net::SimTime now, util::Rng& rng);
-
-  /// Same, with the query already decoded — the engine caches the CHAOS
-  /// query per service and skips the per-probe wire decode. Safe to call
-  /// concurrently between begin_step()s: it reads the step's queue state
-  /// and touches only atomic server counters.
-  ProbeReply probe(net::Ipv4Addr source, const dns::Message& query,
-                   net::SimTime now, util::Rng& rng);
+  /// Delivers one probe from `source` against the step's queue state: a
+  /// down site answers nothing; otherwise the ECMP pick chooses the
+  /// server and concentrate/share mode shapes loss and delay. Draws
+  /// `rng.chance` for loss, then, if answered, one delay-jitter uniform.
+  /// Safe to call concurrently between begin_step()s: it only reads.
+  ProbeReply probe(net::Ipv4Addr source, util::Rng& rng) const;
 
   int server_count() const noexcept { return static_cast<int>(servers_.size()); }
   SiteServer& server(int index_0based) { return servers_[static_cast<std::size_t>(index_0based)]; }
+  const SiteServer& server(int index_0based) const {
+    return servers_[static_cast<std::size_t>(index_0based)];
+  }
 
  private:
   int pick_server(net::Ipv4Addr source) const noexcept;

@@ -40,65 +40,4 @@ static_assert(sizeof(ProbeRecord) == 16);
 /// The record store for one run.
 using RecordSet = std::vector<ProbeRecord>;
 
-/// Struct-of-arrays staging block for the hot probe loops: each field
-/// lives in its own contiguous lane while a shard emits records, and the
-/// block packs back into AoS ProbeRecords — in push order — when the
-/// shard's output merges into the run's RecordSet. Keeping the merge in
-/// (service, VP, time) shard order means the packed stream is
-/// byte-identical to the serial AoS path at any thread count.
-class RecordSoA {
- public:
-  std::size_t size() const noexcept { return vp_.size(); }
-  bool empty() const noexcept { return vp_.empty(); }
-
-  void clear() noexcept {
-    vp_.clear();
-    t_s_.clear();
-    site_id_.clear();
-    rtt_ms_.clear();
-    letter_index_.clear();
-    outcome_.clear();
-    server_.clear();
-    rcode_.clear();
-  }
-
-  void push(const ProbeRecord& rec) {
-    vp_.push_back(rec.vp);
-    t_s_.push_back(rec.t_s);
-    site_id_.push_back(rec.site_id);
-    rtt_ms_.push_back(rec.rtt_ms);
-    letter_index_.push_back(rec.letter_index);
-    outcome_.push_back(rec.outcome);
-    server_.push_back(rec.server);
-    rcode_.push_back(rec.rcode);
-  }
-
-  /// Packs the lanes into `out` in push order.
-  void append_to(RecordSet& out) const {
-    out.reserve(out.size() + size());
-    for (std::size_t i = 0; i < vp_.size(); ++i) {
-      ProbeRecord rec;
-      rec.vp = vp_[i];
-      rec.t_s = t_s_[i];
-      rec.site_id = site_id_[i];
-      rec.rtt_ms = rtt_ms_[i];
-      rec.letter_index = letter_index_[i];
-      rec.outcome = outcome_[i];
-      rec.server = server_[i];
-      rec.rcode = rcode_[i];
-      out.push_back(rec);
-    }
-  }
-
- private:
-  std::vector<std::uint32_t> vp_;
-  std::vector<std::uint32_t> t_s_;
-  std::vector<std::int16_t> site_id_;
-  std::vector<std::uint16_t> rtt_ms_;
-  std::vector<std::uint8_t> letter_index_;
-  std::vector<ProbeOutcome> outcome_;
-  std::vector<std::uint8_t> server_;
-  std::vector<std::uint8_t> rcode_;
-};
-
 }  // namespace rootstress::atlas

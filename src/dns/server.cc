@@ -29,7 +29,7 @@ std::optional<Message> RootServer::answer(const Message& query,
     // loss for probes is modeled at the site ingress, not here).
     ++stats_.chaos_queries;
     ++stats_.responses;
-    return answer_chaos(query);
+    return chaos_response(query);
   }
 
   const Question& q = query.questions.front();
@@ -55,7 +55,7 @@ std::optional<Message> RootServer::answer(const Message& query,
   return answer_root_referral(query);
 }
 
-Message RootServer::answer_chaos(const Message& query) const {
+Message RootServer::chaos_response(const Message& query) const {
   Message m = Message::response_to(query, Rcode::kNoError);
   m.header.aa = true;
   m.answers.push_back(

@@ -6,7 +6,6 @@
 // anycast module; this class is pure protocol behaviour.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,37 +17,16 @@
 
 namespace rootstress::dns {
 
-/// Per-server protocol statistics. Counters are relaxed atomics: the
-/// engine's parallel Atlas probing delivers CHAOS queries to the same
-/// server from several threads at once, and the CHAOS path touches
-/// nothing but these counters.
+/// Per-server protocol statistics, counted by answer(). Plain counters:
+/// each server answers from one thread (the netio serve loop or a test);
+/// the engine's probing reads only the const chaos_response().
 struct ServerStats {
-  std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> responses{0};
-  std::atomic<std::uint64_t> chaos_queries{0};
-  std::atomic<std::uint64_t> rrl_dropped{0};
-  std::atomic<std::uint64_t> rrl_slipped{0};
-  std::atomic<std::uint64_t> refused{0};
-
-  // Atomics delete the implicit copy/move; value-copy semantics keep
-  // RootServer storable in vectors (copies happen only at setup time).
-  ServerStats() = default;
-  ServerStats(const ServerStats& other) noexcept { *this = other; }
-  ServerStats& operator=(const ServerStats& other) noexcept {
-    queries.store(other.queries.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    responses.store(other.responses.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    chaos_queries.store(other.chaos_queries.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    rrl_dropped.store(other.rrl_dropped.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    rrl_slipped.store(other.rrl_slipped.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    refused.store(other.refused.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    return *this;
-  }
+  std::uint64_t queries = 0;
+  std::uint64_t responses = 0;
+  std::uint64_t chaos_queries = 0;
+  std::uint64_t rrl_dropped = 0;
+  std::uint64_t rrl_slipped = 0;
+  std::uint64_t refused = 0;
 };
 
 /// A single root DNS server instance.
@@ -72,6 +50,12 @@ class RootServer {
     return answer_root_referral(query);
   }
 
+  /// Builds the CHAOS hostname.bind reply (this server's identity as a
+  /// TXT answer) without touching RRL or the stats counters. answer()
+  /// uses it for CHAOS queries; the engine runs each server's reply
+  /// through the wire codec once per run with it.
+  Message chaos_response(const Message& query) const;
+
   /// The CHAOS identity string this server embeds in hostname.bind
   /// replies.
   const std::string& identity() const noexcept { return identity_; }
@@ -83,7 +67,6 @@ class RootServer {
   ResponseRateLimiter& rrl() noexcept { return rrl_; }
 
  private:
-  Message answer_chaos(const Message& query) const;
   Message answer_root_referral(const Message& query) const;
 
   char letter_;

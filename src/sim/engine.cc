@@ -137,29 +137,6 @@ SimulationEngine::SimulationEngine(ScenarioConfig config)
     }
   }
 
-  // Intern every deployed server's CHAOS identity once: replies map back
-  // to (site, server) with one hash lookup, no per-probe parsing.
-  for (int id = 0; id < deployment_->site_count(); ++id) {
-    auto& site = deployment_->site(id);
-    for (int srv = 0; srv < site.server_count(); ++srv) {
-      site_by_identity_.emplace(
-          site.server(srv).dns().identity(),
-          (static_cast<std::uint32_t>(id) << 8) |
-              static_cast<std::uint32_t>(site.server(srv).index() & 0xff));
-    }
-  }
-
-  // Cache the CHAOS query per service: encoded to wire and decoded back
-  // exactly once, instead of per probe. The fixed per-service message id
-  // is echoed in replies but consumed by nothing.
-  chaos_query_.reserve(services.size());
-  for (std::size_t s = 0; s < services.size(); ++s) {
-    const auto wire = dns::encode(dns::make_chaos_query(
-        static_cast<std::uint16_t>(0x5250u + s)));
-    auto decoded = dns::decode(wire);
-    chaos_query_.push_back(std::move(*decoded));
-  }
-
   if (config_.enable_collector) {
     bgp::CollectorConfig cc = config_.collector;
     cc.seed = config_.seed ^ 0xc011ec;
@@ -266,6 +243,7 @@ SimulationResult SimulationEngine::run() {
   setup_timeline();
   probe_shards_.clear();
   if (config_.collect_records && !vps_.empty()) {
+    build_reply_table();
     // Service-major, VP-ascending: concatenating shard outputs in this
     // order reproduces the serial record stream exactly.
     const std::size_t shard_count = std::min(
@@ -967,18 +945,76 @@ void SimulationEngine::run_probes(net::SimTime step_begin,
     }
   });
   // Deterministic merge: shards are ordered service-major with ascending
-  // VP ranges and each appends in (VP, time) order, so packing the SoA
-  // lanes back to AoS in shard order reproduces the serial
-  // (service, VP, time) record stream exactly.
+  // VP ranges and each appends in (VP, time) order, so concatenating them
+  // in shard order reproduces the serial (service, VP, time) record
+  // stream exactly.
   for (const ProbeShard& shard : probe_shards_) {
-    shard.records.append_to(raw);
+    raw.insert(raw.end(), shard.records.begin(), shard.records.end());
   }
+}
+
+void SimulationEngine::build_reply_table() {
+  const auto& services = deployment_->services();
+  chaos_query_.clear();
+  chaos_query_.reserve(services.size());
+  for (std::size_t s = 0; s < services.size(); ++s) {
+    const auto wire = dns::encode(dns::make_chaos_query(
+        static_cast<std::uint16_t>(0x5250u + s)));
+    chaos_query_.push_back(std::move(*dns::decode(wire)));
+  }
+
+  // Every deployed server's identity, not only the probed ones: a reply
+  // whose text another server also renders maps to the first owner.
+  site_by_identity_.clear();
+  reply_first_.assign(static_cast<std::size_t>(deployment_->site_count()), 0);
+  std::size_t slots = 0;
+  for (int id = 0; id < deployment_->site_count(); ++id) {
+    const auto& site = deployment_->site(id);
+    reply_first_[static_cast<std::size_t>(id)] = slots;
+    slots += static_cast<std::size_t>(site.server_count());
+    for (int srv = 0; srv < site.server_count(); ++srv) {
+      site_by_identity_.emplace(
+          site.server(srv).dns().identity(),
+          (static_cast<std::uint32_t>(id) << 8) |
+              static_cast<std::uint32_t>(site.server(srv).index() & 0xff));
+    }
+  }
+
+  reply_fields_.assign(slots, ReplyFields{});
+  for (const int s : probed_services_) {
+    for (const int id : services[static_cast<std::size_t>(s)].site_ids) {
+      const std::size_t first = reply_first_[static_cast<std::size_t>(id)];
+      for (int srv = 0; srv < deployment_->site(id).server_count(); ++srv) {
+        reply_fields_[first + static_cast<std::size_t>(srv)] =
+            chaos_reply_fields(s, id, srv);
+      }
+    }
+  }
+}
+
+SimulationEngine::ReplyFields SimulationEngine::chaos_reply_fields(
+    int service_index, int site_id, int server_0based) const {
+  const dns::RootServer& server =
+      deployment_->site(site_id).server(server_0based).dns();
+  const auto response = dns::decode(dns::encode(server.chaos_response(
+      chaos_query_[static_cast<std::size_t>(service_index)])));
+  ReplyFields fields;
+  if (!response || response->answers.empty()) return fields;
+  fields.rcode = static_cast<std::uint8_t>(response->header.rcode);
+  const auto txt = response->answers.front().txt_value();
+  // Unknown text (an identity no deployed server owns) stays an error.
+  const auto it = txt ? site_by_identity_.find(*txt) : site_by_identity_.end();
+  if (it == site_by_identity_.end()) return fields;
+  fields.outcome = atlas::ProbeOutcome::kSite;
+  fields.site_id = static_cast<std::int16_t>(it->second >> 8);
+  fields.server = static_cast<std::uint8_t>(it->second & 0xff);
+  return fields;
 }
 
 void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
                                   int service_index,
                                   const std::vector<bgp::RouteChoice>& routes,
-                                  net::SimTime when, atlas::RecordSoA& out) {
+                                  net::SimTime when, atlas::RecordSet& out) {
   // Every random draw for this probe comes from its own stream keyed on
   // (seed, service, VP, time): probe outcomes are a pure function of the
   // schedule, independent of thread count and execution order.
@@ -994,58 +1030,47 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
     // A middlebox answers locally: wrong pattern, implausibly fast.
     rec.outcome = atlas::ProbeOutcome::kError;
     rec.rtt_ms = static_cast<std::uint16_t>(2 + rng.below(4));
-    out.push(rec);
+    out.push_back(rec);
     return;
   }
 
   const auto& route = routes[static_cast<std::size_t>(vp.as_index)];
   if (!route.reachable()) {
-    out.push(rec);  // no route: query never arrives
+    out.push_back(rec);  // no route: query never arrives
     return;
   }
-  auto& site = deployment_->site(route.site_id);
+  const auto& site = deployment_->site(route.site_id);
 
-  const auto reply = site.probe(
-      vp.address, chaos_query_[static_cast<std::size_t>(service_index)], when,
-      rng);
+  const anycast::ProbeReply reply = site.probe(vp.address, rng);
   if (!reply.answered) {
-    out.push(rec);
+    out.push_back(rec);
     return;
   }
+  const ReplyFields& fields =
+      reply_fields_[reply_first_[static_cast<std::size_t>(route.site_id)] +
+                    static_cast<std::size_t>(reply.server - 1)];
+#ifndef NDEBUG
+  // Debug builds re-run the wire round trip for every answered probe:
+  // every record must match a real encoded and decoded CHAOS reply.
+  if (chaos_reply_fields(service_index, route.site_id, reply.server - 1) !=
+      fields) {
+    throw std::logic_error("probe reply table disagrees with the wire path");
+  }
+#endif
   const double base =
       net::base_rtt_ms(vp.location, site.location()) * rng.uniform(0.95, 1.1);
   const double rtt = base + reply.extra_delay_ms;
   if (rtt >= atlas::kTimeoutMs) {
-    out.push(rec);  // reply arrived after the Atlas timeout
+    out.push_back(rec);  // reply arrived after the Atlas timeout
     return;
   }
   rec.rtt_ms = static_cast<std::uint16_t>(
       std::min(rtt, 65535.0));
-
-  const auto response = dns::decode(reply.wire);
-  if (!response || response->answers.empty()) {
-    rec.outcome = atlas::ProbeOutcome::kError;
-    out.push(rec);
-    return;
-  }
-  rec.rcode = static_cast<std::uint8_t>(response->header.rcode);
-  const auto txt = response->answers.front().txt_value();
-  // The interned table maps the full CHAOS identity text straight to its
-  // (site, server): one hash lookup, no key string, no format re-parse.
-  // Unknown text (an identity no deployed server owns) stays an error,
-  // exactly as the old parse-then-lookup chain classified it.
-  const auto it =
-      txt ? site_by_identity_.find(std::string_view(*txt))
-          : site_by_identity_.end();
-  if (it == site_by_identity_.end()) {
-    rec.outcome = atlas::ProbeOutcome::kError;
-    out.push(rec);
-    return;
-  }
-  rec.outcome = atlas::ProbeOutcome::kSite;
-  rec.site_id = static_cast<std::int16_t>(it->second >> 8);
-  rec.server = static_cast<std::uint8_t>(it->second & 0xff);
-  out.push(rec);
+  rec.outcome = fields.outcome;
+  rec.rcode = fields.rcode;
+  rec.site_id = fields.site_id;
+  rec.server = fields.server;
+  out.push_back(rec);
 }
 
 void SimulationEngine::apply_fault_step(net::SimTime t) {

@@ -163,18 +163,20 @@ class SimulationEngine : private playbook::ActuationBackend {
     int service = -1;
     std::size_t vp_begin = 0;
     std::size_t vp_end = 0;
-    /// SoA staging lanes, reused across steps (capacity kept); packed to
-    /// AoS ProbeRecords at the deterministic merge.
-    atlas::RecordSoA records;
+    /// This step's records, reused across steps (capacity kept).
+    atlas::RecordSet records;
   };
 
-  /// Heterogeneous string hash so CHAOS identity lookups take a
-  /// string_view and never build a temporary std::string.
-  struct IdentityHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
+  /// What a probe record takes from its CHAOS reply: the outcome the
+  /// reply classifies to, its RCODE, and the (site, server) its identity
+  /// names. Fixed per (site, server) for the whole run.
+  struct ReplyFields {
+    atlas::ProbeOutcome outcome = atlas::ProbeOutcome::kError;
+    std::uint8_t rcode = 0;
+    std::int16_t site_id = -1;
+    std::uint8_t server = 0;
+
+    bool operator==(const ReplyFields&) const = default;
   };
 
   void apply_policy_step(net::SimTime now);
@@ -228,7 +230,16 @@ class SimulationEngine : private playbook::ActuationBackend {
   void record_rssac(net::SimTime now, SimulationResult& result);
   void probe_once(const atlas::VantagePoint& vp, int service_index,
                   const std::vector<bgp::RouteChoice>& routes,
-                  net::SimTime when, atlas::RecordSoA& out);
+                  net::SimTime when, atlas::RecordSet& out);
+  /// Builds chaos_query_, site_by_identity_ and the reply table (run(),
+  /// records on only).
+  void build_reply_table();
+  /// The probe reply chain, the only copy of it: the server's CHAOS
+  /// answer to the service's cached query, encoded, decoded, and its TXT
+  /// identity looked up. Const and counter-free, so probing lanes may
+  /// call it concurrently.
+  ReplyFields chaos_reply_fields(int service_index, int site_id,
+                                 int server_0based) const;
 
   ScenarioConfig config_;
   int threads_ = 1;
@@ -259,18 +270,20 @@ class SimulationEngine : private playbook::ActuationBackend {
   std::vector<std::vector<std::pair<int, double>>> facility_contrib_;
   /// Parallel probing shards, service-major then VP-ascending.
   std::vector<ProbeShard> probe_shards_;
-  /// Cached decoded CHAOS query per service: built (encode + decode wire
-  /// once) at construction instead of per probe. The message id is fixed
-  /// per service; replies echo it but nothing downstream reads it.
+  /// Decoded CHAOS query per service (encoded and decoded once). The
+  /// message id is fixed per service; replies echo it but nothing
+  /// downstream reads it.
   std::vector<dns::Message> chaos_query_;
   const attack::AttackEvent* active_event_ = nullptr;
   /// CHAOS identity text -> (site id << 8 | server index): one entry per
-  /// deployed server, interned at construction so mapping a reply back
-  /// to its site is a single allocation-free hash lookup (replaces the
-  /// per-probe "X-CODE" key string + parse).
-  std::unordered_map<std::string, std::uint32_t, IdentityHash,
-                     std::equal_to<>>
-      site_by_identity_;
+  /// deployed server, first one wins, so a reply maps back to its site
+  /// with one hash lookup and no format parse.
+  std::unordered_map<std::string, std::uint32_t> site_by_identity_;
+  /// chaos_reply_fields() of every server of every probed service, flat:
+  /// (site, server) sits at reply_first_[site id] + server index. Probes
+  /// copy from here; only the debug cross-check runs the codec per probe.
+  std::vector<ReplyFields> reply_fields_;
+  std::vector<std::size_t> reply_first_;
   /// Adaptive defense: last meaningful offered load per site, used as the
   /// would-be load of withdrawn sites (slowly decayed) so the controller
   /// does not flap between withdraw and re-announce.

@@ -24,10 +24,6 @@ AnycastSite make_site(ServerStressMode mode, int servers = 3) {
                      7, -1, StressPolicy::absorber(), rng);
 }
 
-std::vector<std::uint8_t> chaos_wire() {
-  return dns::encode(dns::make_chaos_query(0x99));
-}
-
 TEST(Site, LabelAndAccessors) {
   auto site = make_site(ServerStressMode::kShareCongestion);
   EXPECT_EQ(site.label(), "K-AMS");
@@ -40,17 +36,20 @@ TEST(Site, IdleSiteAnswersEveryProbe) {
   auto site = make_site(ServerStressMode::kShareCongestion);
   site.begin_step(0.0, 1000.0, 0.0, net::SimTime(0));
   util::Rng rng(3);
-  const auto wire = chaos_wire();
+  const auto query = dns::make_chaos_query(0x99);
   for (int i = 0; i < 200; ++i) {
-    const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), wire,
-                   net::SimTime(0), rng);
+    const net::Ipv4Addr source(static_cast<std::uint32_t>(i));
+    const auto reply = site.probe(source, rng);
     ASSERT_TRUE(reply.answered);
     ASSERT_GE(reply.server, 1);
     ASSERT_LE(reply.server, 3);
     EXPECT_LT(reply.extra_delay_ms, 10.0);
-    // The reply must parse as this site's identity.
-    const auto m = dns::decode(reply.wire);
+    // The answering server's reply must parse as this site's identity.
+    const auto answer =
+        site.server(reply.server - 1).dns().answer(query, source,
+                                                   net::SimTime(0));
+    ASSERT_TRUE(answer.has_value());
+    const auto m = dns::decode(dns::encode(*answer));
     ASSERT_TRUE(m.has_value());
     const auto id = dns::parse_identity('K', *m->answers[0].txt_value());
     ASSERT_TRUE(id.has_value());
@@ -64,10 +63,8 @@ TEST(Site, DownSiteNeverAnswers) {
   site.set_scope(SiteScope::kDown);
   site.begin_step(0.0, 1000.0, 0.0, net::SimTime(0));
   util::Rng rng(4);
-  const auto wire = chaos_wire();
   for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(
-        site.probe(net::Ipv4Addr(1), wire, net::SimTime(0), rng).answered);
+    EXPECT_FALSE(site.probe(net::Ipv4Addr(1), rng).answered);
   }
 }
 
@@ -77,12 +74,10 @@ TEST(Site, OverloadLossMatchesQueueModel) {
   site.begin_step(400e3, 0.0, 0.0, net::SimTime(0));
   EXPECT_NEAR(site.outcome().loss_fraction, 0.75, 1e-9);
   util::Rng rng(5);
-  const auto wire = chaos_wire();
   int answered = 0;
   constexpr int kProbes = 4000;
   for (int i = 0; i < kProbes; ++i) {
-    if (site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 97)), wire,
-                   net::SimTime(0), rng)
+    if (site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 97)), rng)
             .answered) {
       ++answered;
     }
@@ -96,12 +91,10 @@ TEST(Site, ConcentrateModeUsesOneServer) {
   auto site = make_site(ServerStressMode::kConcentrate);
   site.begin_step(400e3, 0.0, 0.0, net::SimTime(0));
   util::Rng rng(6);
-  const auto wire = chaos_wire();
   std::set<int> servers_seen;
   for (int i = 0; i < 3000; ++i) {
     const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 131)), wire,
-                   net::SimTime(0), rng);
+        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 131)), rng);
     if (reply.answered) servers_seen.insert(reply.server);
   }
   EXPECT_EQ(servers_seen.size(), 1u);
@@ -111,12 +104,10 @@ TEST(Site, ShareModeKeepsAllServersVisible) {
   auto site = make_site(ServerStressMode::kShareCongestion);
   site.begin_step(150e3, 0.0, 0.0, net::SimTime(0));  // mild overload
   util::Rng rng(7);
-  const auto wire = chaos_wire();
   std::set<int> servers_seen;
   for (int i = 0; i < 5000; ++i) {
     const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 131)), wire,
-                   net::SimTime(0), rng);
+        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 131)), rng);
     if (reply.answered) servers_seen.insert(reply.server);
   }
   EXPECT_EQ(servers_seen.size(), 3u);
@@ -126,12 +117,10 @@ TEST(Site, BufferbloatShowsUpInProbeDelay) {
   auto site = make_site(ServerStressMode::kShareCongestion);
   site.begin_step(150e3, 0.0, 0.0, net::SimTime(0));
   util::Rng rng(8);
-  const auto wire = chaos_wire();
   double max_delay = 0.0;
   for (int i = 0; i < 500; ++i) {
     const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), wire,
-                   net::SimTime(0), rng);
+        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), rng);
     if (reply.answered) max_delay = std::max(max_delay, reply.extra_delay_ms);
   }
   // Full buffer = 150e3/100e3 = 1.5 s.
@@ -143,25 +132,14 @@ TEST(Site, FacilityLossCompounds) {
   site.begin_step(50e3, 0.0, /*shared_loss=*/0.9, net::SimTime(0));
   EXPECT_NEAR(site.arrival_loss(), 0.9, 1e-9);
   util::Rng rng(9);
-  const auto wire = chaos_wire();
   int answered = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), wire,
-                   net::SimTime(0), rng)
+    if (site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), rng)
             .answered) {
       ++answered;
     }
   }
   EXPECT_LT(answered, 200);
-}
-
-TEST(Site, MalformedQueryWireYieldsNoAnswer) {
-  auto site = make_site(ServerStressMode::kShareCongestion);
-  site.begin_step(0.0, 0.0, 0.0, net::SimTime(0));
-  util::Rng rng(10);
-  const std::vector<std::uint8_t> junk{1, 2, 3};
-  EXPECT_FALSE(site.probe(net::Ipv4Addr(1), junk, net::SimTime(0), rng)
-                   .answered);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "anycast/loadbalancer.h"
 #include "attack/events2015.h"
+#include "obs/profiler.h"
 #include "sim/scenario_builder.h"
 
 namespace rootstress::sim {
@@ -163,8 +166,45 @@ TEST(Engine, ProbeRecordsHaveConsistentFields) {
       EXPECT_GE(record.server, 1);
       EXPECT_LE(record.server, site.servers);
       EXPECT_LT(record.rtt_ms, 5000);
+      // The answering server is the balancer's pick for this VP.
+      const auto& vp = result.vps[record.vp];
+      EXPECT_EQ(record.server,
+                anycast::ecmp_pick(vp.address, site.servers,
+                                   static_cast<std::uint64_t>(record.site_id)) +
+                    1);
     }
   }
+}
+
+TEST(Engine, ProbingAllocatesNothingPerRecord) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "debug builds round-trip every probe through the wire codec";
+#else
+  if (obs::allocation_count() == 0) {
+    GTEST_SKIP() << "allocation hook not active in this binary";
+  }
+  for (const int threads : {1, 4}) {
+    auto config = fast_scenario();
+    config.telemetry = true;
+    config.threads = threads;
+    SimulationEngine engine(std::move(config));
+    const auto result = engine.run();
+    ASSERT_FALSE(result.records.empty());
+    const auto& phases = result.telemetry.phases;
+    const auto probing =
+        std::find_if(phases.begin(), phases.end(), [](const auto& phase) {
+          return phase.name == "atlas-probing";
+        });
+    ASSERT_NE(probing, phases.end());
+    // Per-step costs (pool dispatch, shard buffers growing) are allowed;
+    // a per-probe allocation would put this near 1.
+    EXPECT_LT(static_cast<double>(probing->allocs) /
+                  static_cast<double>(result.records.size()),
+              0.05)
+        << "threads " << threads << ": " << probing->allocs
+        << " allocations for " << result.records.size() << " records";
+  }
+#endif
 }
 
 TEST(Engine, ProbeCadenceMatchesLetterConfig) {
