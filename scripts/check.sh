@@ -64,10 +64,14 @@
 #      (its 4-thread run also exercises the per-probe wire cross-check:
 #      debug builds re-run every answered probe's CHAOS reply through
 #      the codec and compare it with the engine's reply table), the
-#      incremental-vs-full BGP cross-check (debug builds cross-check
-#      every mutation), the resolver-population unit tests (sharded
-#      stepping races), and the netio socket/server/generator tests
-#      (real threads + real sockets) under TSan.
+#      engine unit tests at 4 threads (probe shards carry per-VP
+#      schedule and RTT state from one step to the next, possibly on
+#      another lane; every reused fluid load is recomputed and compared
+#      in debug builds), the incremental-vs-full BGP cross-check (debug
+#      builds cross-check every mutation), the resolver-population unit
+#      tests (sharded stepping races), and the netio
+#      socket/server/generator tests (real threads + real sockets) under
+#      TSan.
 #
 # Usage: scripts/check.sh  (from the repo root; build trees land in
 # build/check-release and build/check-tsan).
@@ -229,13 +233,14 @@ echo "=== Debug + ThreadSanitizer build ==="
 cmake -B build/check-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -Werror" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build/check-tsan -j --target util_test integration_test netio_test resolver_test
+cmake --build build/check-tsan -j --target util_test integration_test netio_test resolver_test sim_test
 
 echo "=== Pool tests under TSan ==="
 (cd build/check-tsan &&
   ./tests/util_test --gtest_filter='ThreadPool.*:ResolveThreadCount.*' &&
   ROOTSTRESS_THREADS=4 ./tests/integration_test \
     --gtest_filter='ParallelDeterminism.*' &&
+  ROOTSTRESS_THREADS=4 ./tests/sim_test --gtest_filter='Engine.*' &&
   ROOTSTRESS_THREADS=4 ./tests/integration_test \
     --gtest_filter='ScaleDeterminism.FullAndIncrementalBgpProduceIdenticalRuns' &&
   ./tests/resolver_test --gtest_filter='Population.*')

@@ -174,6 +174,7 @@ void AnycastRouting::set_unrouted_slot(std::int32_t slot) {
     for (int as = 0; as < n; ++as) {
       if (!table.routes[as].reachable()) table.site_of[as] = slot;
     }
+    ++table.recompute_seq;
   }
   unrouted_slot_ = slot;
 }

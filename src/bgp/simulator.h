@@ -91,6 +91,13 @@ class AnycastRouting {
   void set_unrouted_slot(std::int32_t slot);
   std::int32_t unrouted_slot() const noexcept { return unrouted_slot_; }
 
+  /// Changes whenever site_of(prefix) may have changed: every recompute
+  /// (even one that moved no AS) and every unrouted-slot remap bumps it.
+  /// Equal versions of one prefix of one router imply equal site_of().
+  std::uint64_t version(int prefix) const {
+    return tables_[prefix].recompute_seq;
+  }
+
   /// The origins of `prefix` (site announce state included).
   const std::vector<AnycastOrigin>& origins(int prefix) const {
     return tables_[prefix].origins;
@@ -175,6 +182,7 @@ class AnycastRouting {
     std::vector<std::vector<int>> best_bucket;
     std::vector<int> up_pos;
     std::vector<int> best_pos;
+    /// version(): bumped by every recompute and unrouted-slot remap.
     std::uint64_t recompute_seq = 0;
     obs::Counter* recomputes = nullptr;
     obs::Counter* changes = nullptr;

@@ -1,7 +1,9 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "dns/chaos.h"
@@ -23,6 +25,22 @@ std::size_t bins_for(net::SimTime start, net::SimTime end,
   const auto span = (end - start).ms;
   return static_cast<std::size_t>((span + width.ms - 1) / width.ms);
 }
+
+#ifndef NDEBUG
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const ServiceLoad& a, const ServiceLoad& b) {
+  return same_bits(a.attack_qps, b.attack_qps) &&
+         same_bits(a.legit_qps, b.legit_qps) &&
+         std::bit_cast<std::uint64_t>(a.unrouted_attack) ==
+             std::bit_cast<std::uint64_t>(b.unrouted_attack) &&
+         std::bit_cast<std::uint64_t>(a.unrouted_legit) ==
+             std::bit_cast<std::uint64_t>(b.unrouted_legit);
+}
+#endif
 
 }  // namespace
 
@@ -236,6 +254,7 @@ SimulationResult SimulationEngine::run() {
     load.attack_qps.assign(site_count + 1, 0.0);
     load.legit_qps.assign(site_count + 1, 0.0);
   }
+  load_inputs_.assign(services.size(), std::nullopt);
   facility_contrib_.resize(services.size());
   step_offered_.assign(services.size(), 0.0);
   step_served_.assign(services.size(), 0.0);
@@ -256,6 +275,7 @@ SimulationResult SimulationEngine::run() {
         task.vp_begin = vps_.size() * shard / shard_count;
         task.vp_end = vps_.size() * (shard + 1) / shard_count;
         if (task.vp_begin == task.vp_end) continue;
+        task.vps.resize(task.vp_end - task.vp_begin);
         probe_shards_.push_back(std::move(task));
       }
     }
@@ -753,8 +773,29 @@ void SimulationEngine::run_fluid_step(
     // already a consequence of load and are not double-scaled.
     const double legit_qps =
         config_.legit.per_letter_qps * legit_scale + retry_in;
-    compute_service_load_into(*deployment_, svc, botnet_, legit_, attack_qps,
-                              legit_qps, current_loads_[s]);
+    // Same routes and the same rates as when the buffer was last filled:
+    // it already holds what the kernels would write.
+    const LoadInputs inputs{deployment_->routing().version(svc.prefix),
+                            std::bit_cast<std::uint64_t>(attack_qps),
+                            std::bit_cast<std::uint64_t>(legit_qps)};
+    if (load_inputs_[s] != inputs) {
+      compute_service_load_into(*deployment_, svc, botnet_, legit_,
+                                attack_qps, legit_qps, current_loads_[s]);
+      load_inputs_[s] = inputs;
+    }
+#ifndef NDEBUG
+    else {
+      // Debug builds recompute every reused load and compare bit for bit.
+      ServiceLoad fresh;
+      compute_service_load_into(*deployment_, svc, botnet_, legit_,
+                                attack_qps, legit_qps, fresh);
+      if (!same_bits(fresh, current_loads_[s])) {
+        throw std::logic_error("reused fluid load for " +
+                               std::string(1, svc.letter) +
+                               " differs from a recompute");
+      }
+    }
+#endif
 
     const double q_payload = active_event_ != nullptr && attacked
                                  ? active_event_->query_payload_bytes
@@ -920,27 +961,36 @@ void SimulationEngine::run_probes(net::SimTime step_begin,
     const auto& routes = deployment_->routing().routes(svc.prefix);
     const std::int64_t interval =
         probe_interval_ms_[static_cast<std::size_t>(s)];
+    if (!shard.scheduled) {
+      for (std::size_t v = shard.vp_begin; v < shard.vp_end; ++v) {
+        // Per-(VP, letter) phase spread across the whole probing
+        // interval, so infrequently probed letters (A at 30 min) still
+        // cover every analysis bin with a subset of VPs.
+        const std::int64_t phase = static_cast<std::int64_t>(
+            util::mix64(static_cast<std::uint64_t>(vps_[v].phase_ms) * 131 +
+                        static_cast<std::uint64_t>(s)) %
+            static_cast<std::uint64_t>(interval));
+        // First probe time >= step_begin on this VP's schedule.
+        std::int64_t offset = (step_begin.ms - phase) % interval;
+        if (offset < 0) offset += interval;
+        shard.vps[v - shard.vp_begin].next_ms =
+            step_begin.ms + ((interval - offset) % interval);
+      }
+      shard.scheduled = true;
+    }
     for (std::size_t v = shard.vp_begin; v < shard.vp_end; ++v) {
       const auto& vp = vps_[v];
-      // Per-(VP, letter) phase spread across the whole probing interval,
-      // so infrequently probed letters (A at 30 min) still cover every
-      // analysis bin with a subset of VPs.
-      const std::int64_t phase = static_cast<std::int64_t>(
-          util::mix64(static_cast<std::uint64_t>(vp.phase_ms) * 131 +
-                      static_cast<std::uint64_t>(s)) %
-          static_cast<std::uint64_t>(interval));
-      // First probe time >= step_begin on this VP's schedule.
-      std::int64_t offset = (step_begin.ms - phase) % interval;
-      if (offset < 0) offset += interval;
-      std::int64_t tp = step_begin.ms + ((interval - offset) % interval);
-      for (; tp < step_end.ms; tp += interval) {
-        const net::SimTime when(tp);
+      VpProbeState& state = shard.vps[v - shard.vp_begin];
+      // Every probe time this step, skipped or not, advances the
+      // schedule, so next_ms is the first time >= the next step's begin.
+      for (; state.next_ms < step_end.ms; state.next_ms += interval) {
+        const net::SimTime when(state.next_ms);
         if (!config_.probe_window.contains(when)) continue;
         // A dropped-out VP is silent for the whole dropout window: no
         // record at all, like a real probe going dark. vp_dropped is a
         // pure hash, so this stays thread-order-invariant.
         if (fault_ && fault_->vp_dropped(vp.id, when)) continue;
-        probe_once(vp, s, routes, when, shard.records);
+        probe_once(vp, state, s, routes, when, shard.records);
       }
     }
   });
@@ -1012,7 +1062,7 @@ SimulationEngine::ReplyFields SimulationEngine::chaos_reply_fields(
 }
 
 void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
-                                  int service_index,
+                                  VpProbeState& state, int service_index,
                                   const std::vector<bgp::RouteChoice>& routes,
                                   net::SimTime when, atlas::RecordSet& out) {
   // Every random draw for this probe comes from its own stream keyed on
@@ -1057,8 +1107,12 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
     throw std::logic_error("probe reply table disagrees with the wire path");
   }
 #endif
-  const double base =
-      net::base_rtt_ms(vp.location, site.location()) * rng.uniform(0.95, 1.1);
+  // base_rtt_ms is pure: recompute it only when the VP's catchment moved.
+  if (state.rtt_site != route.site_id) {
+    state.rtt_site = route.site_id;
+    state.base_rtt_ms = net::base_rtt_ms(vp.location, site.location());
+  }
+  const double base = state.base_rtt_ms * rng.uniform(0.95, 1.1);
   const double rtt = base + reply.extra_delay_ms;
   if (rtt >= atlas::kTimeoutMs) {
     out.push_back(rec);  // reply arrived after the Atlas timeout

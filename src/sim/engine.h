@@ -155,6 +155,17 @@ class SimulationEngine : private playbook::ActuationBackend {
     net::SimTime when{};
   };
 
+  /// What a shard keeps per VP from one probing step to the next.
+  struct VpProbeState {
+    /// The VP's next probe time (ms) for the shard's service; meaningful
+    /// once the shard is `scheduled`.
+    std::int64_t next_ms = 0;
+    /// The site `base_rtt_ms` belongs to (-1: none yet).
+    int rtt_site = -1;
+    /// net::base_rtt_ms(vp.location, location of site `rtt_site`).
+    double base_rtt_ms = 0.0;
+  };
+
   /// One unit of parallel probing: one service over one VP range, with
   /// its own output records (merged in task order after the barrier, so
   /// the record stream is identical to the serial service->VP->time
@@ -163,8 +174,27 @@ class SimulationEngine : private playbook::ActuationBackend {
     int service = -1;
     std::size_t vp_begin = 0;
     std::size_t vp_end = 0;
+    /// Set at the shard's first probing step, when every VP is placed on
+    /// its schedule. Probing steps are contiguous, so from then on each
+    /// VP's next_ms is its first probe time >= the step's begin.
+    bool scheduled = false;
+    /// Indexed by VP - vp_begin.
+    std::vector<VpProbeState> vps;
     /// This step's records, reused across steps (capacity kept).
     atlas::RecordSet records;
+  };
+
+  /// The inputs a service's load buffer was last computed from: its
+  /// prefix's routing version and the bit patterns of the offered rates.
+  /// compute_service_load_into is a pure function of these plus the
+  /// deployment, botnet and legit model, which the engine fixes for its
+  /// lifetime; that is why this key lives here and not in fluid.h.
+  struct LoadInputs {
+    std::uint64_t routing_version = 0;
+    std::uint64_t attack_bits = 0;
+    std::uint64_t legit_bits = 0;
+
+    bool operator==(const LoadInputs&) const = default;
   };
 
   /// What a probe record takes from its CHAOS reply: the outcome the
@@ -228,7 +258,8 @@ class SimulationEngine : private playbook::ActuationBackend {
   void run_resolver_step(net::SimTime t);
   void run_probes(net::SimTime step_begin, atlas::RecordSet& raw);
   void record_rssac(net::SimTime now, SimulationResult& result);
-  void probe_once(const atlas::VantagePoint& vp, int service_index,
+  void probe_once(const atlas::VantagePoint& vp, VpProbeState& state,
+                  int service_index,
                   const std::vector<bgp::RouteChoice>& routes,
                   net::SimTime when, atlas::RecordSet& out);
   /// Builds chaos_query_, site_by_identity_ and the reply table (run(),
@@ -264,6 +295,9 @@ class SimulationEngine : private playbook::ActuationBackend {
   /// Per-service load buffers, preallocated once in run() and rewritten
   /// in place every step (pass 1 writes them in parallel).
   std::vector<ServiceLoad> current_loads_;
+  /// What each current_loads_ entry was computed from (nullopt: nothing
+  /// yet). Pass 1 recomputes a load only when its inputs moved.
+  std::vector<std::optional<LoadInputs>> load_inputs_;
   /// Per-service (facility, Gb/s) contributions staged by pass 1 and
   /// merged into the facility table in service order — the merge order,
   /// and therefore every floating-point sum, is thread-count-invariant.

@@ -34,14 +34,19 @@ double median(std::span<const double> xs) {
 
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> v(xs.begin(), xs.end());
   p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // Select instead of sorting: the lo-th order statistic, then the
+  // (lo+1)-th as the smallest value past it. They are the values a full
+  // sort would put at lo and lo+1, so the result is bit-identical.
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), nth, v.end());
+  const double upper = lo + 1 < v.size() ? *std::min_element(nth + 1, v.end())
+                                         : *nth;
+  return *nth * (1.0 - frac) + upper * frac;
 }
 
 double min_of(std::span<const double> xs) noexcept {

@@ -109,5 +109,32 @@ TEST(AnycastRouting, MultiplePrefixesIndependent) {
   EXPECT_TRUE(routing.routes(e)[1].reachable());
 }
 
+TEST(AnycastRouting, VersionTracksSiteOf) {
+  const auto topo = two_site_topo();
+  AnycastRouting routing(topo);
+  const int k = routing.register_prefix("K", two_origins());
+  const int e = routing.register_prefix("E", two_origins());
+  const std::uint64_t k0 = routing.version(k);
+  const std::uint64_t e0 = routing.version(e);
+
+  // Nothing toggled, nothing recomputed: the version stays.
+  routing.set_announced(k, 0, true, net::SimTime(1));
+  EXPECT_EQ(routing.version(k), k0);
+
+  // A withdrawal recomputes K alone.
+  routing.set_announced(k, 0, false, net::SimTime(2));
+  const std::uint64_t k1 = routing.version(k);
+  EXPECT_NE(k1, k0);
+  EXPECT_EQ(routing.version(e), e0);
+
+  // Remapping the unrouted slot rewrites site_of of every prefix.
+  routing.set_unrouted_slot(2);
+  EXPECT_NE(routing.version(k), k1);
+  EXPECT_NE(routing.version(e), e0);
+  const std::uint64_t e1 = routing.version(e);
+  routing.set_unrouted_slot(2);  // same slot: nothing rewritten
+  EXPECT_EQ(routing.version(e), e1);
+}
+
 }  // namespace
 }  // namespace rootstress::bgp

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "anycast/loadbalancer.h"
 #include "attack/events2015.h"
@@ -230,6 +233,79 @@ TEST(Engine, ProbeCadenceMatchesLetterConfig) {
     EXPECT_NEAR(k_counts[vp], 150, 1) << "vp " << vp;
     EXPECT_NEAR(a_counts[vp], 20, 1) << "vp " << vp;
   }
+}
+
+TEST(Engine, ProbeScheduleExactAfterLateWindow) {
+  // Probing starts a day into the run, and the window opens mid-step: the
+  // first probing step holds probe times before the window that must be
+  // skipped without losing the VP's place on its schedule.
+  auto config = fast_scenario();
+  config.start = net::SimTime::from_hours(-24);
+  config.probe_window.begin = net::SimTime::from_seconds(30);
+  config.probe_letters = {'A', 'K'};
+  ASSERT_TRUE(config.fault_schedule.empty());
+  SimulationEngine engine(std::move(config));
+  const auto result = engine.run();
+  const net::SimInterval window = result.probe_window;
+
+  // (VP, service) -> record times in stream order.
+  std::map<std::pair<std::uint32_t, int>, std::vector<std::int64_t>> times;
+  for (const auto& record : result.records) {
+    times[{record.vp, record.letter_index}].push_back(record.time().ms);
+  }
+  // Every kept VP probes both letters.
+  ASSERT_EQ(times.size(),
+            2 * static_cast<std::size_t>(result.cleaning.kept_vps));
+  for (const auto& [key, ts] : times) {
+    const char letter =
+        result.letter_chars[static_cast<std::size_t>(key.second)];
+    const std::int64_t interval = letter == 'A' ? 1'800'000 : 240'000;
+    ASSERT_GE(ts.front(), window.begin.ms) << letter << " vp " << key.first;
+    EXPECT_LT(ts.front(), window.begin.ms + interval)
+        << letter << " vp " << key.first;
+    EXPECT_LT(ts.back(), window.end.ms) << letter << " vp " << key.first;
+    for (std::size_t i = 1; i < ts.size(); ++i) {
+      ASSERT_EQ(ts[i] - ts[i - 1], interval)
+          << letter << " vp " << key.first << " record " << i;
+    }
+  }
+}
+
+TEST(Engine, ProbeRttFollowsCatchmentFlips) {
+  // Maintenance flaps move catchments all run long; every answered
+  // probe's RTT must still be drawn around the distance to the site that
+  // answered it, not to a site the VP was routed to before.
+  auto config = fast_scenario();
+  config.schedule = attack::AttackSchedule{};  // quiet: light queues
+  config.maintenance_flap_per_step = 0.05;
+  config.probe_letters = {};                   // all thirteen letters
+  SimulationEngine engine(std::move(config));
+  const auto result = engine.run();
+
+  std::map<std::pair<std::uint32_t, int>, std::int16_t> last_site;
+  int pairs_that_flipped = 0;
+  std::size_t answered = 0;
+  for (const auto& record : result.records) {
+    if (record.outcome != atlas::ProbeOutcome::kSite) continue;
+    ++answered;
+    const auto& vp = result.vps[record.vp];
+    const auto& site = result.sites[static_cast<std::size_t>(record.site_id)];
+    const double b = net::base_rtt_ms(vp.location, site.location);
+    // Jitter spans [0.95, 1.1) of the base; light-load queueing adds at
+    // most 5 ms (times its own 1.1 jitter).
+    ASSERT_GE(record.rtt_ms, std::floor(0.95 * b))
+        << site.label << " vp " << record.vp;
+    ASSERT_LE(record.rtt_ms, 1.1 * b + 6.0)
+        << site.label << " vp " << record.vp;
+    auto [it, fresh] =
+        last_site.try_emplace({record.vp, record.letter_index}, record.site_id);
+    if (!fresh && it->second != record.site_id) {
+      if (it->second >= 0) ++pairs_that_flipped;
+      it->second = -1;  // count each (VP, letter) once
+    }
+  }
+  ASSERT_GT(answered, 0u);
+  EXPECT_GT(pairs_that_flipped, 0);
 }
 
 TEST(Engine, SpilloverRaisesUniqueSourcesAtSparedLetters) {

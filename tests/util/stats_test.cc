@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <vector>
 
 namespace rootstress::util {
@@ -35,6 +37,28 @@ TEST_P(PercentileTest, LinearInterpolation) {
   for (int i = 0; i <= 10; ++i) v.push_back(i);
   const auto [p, expected] = GetParam();
   EXPECT_NEAR(percentile(v, p), expected, 1e-9);
+}
+
+TEST_P(PercentileTest, MatchesSortedReferenceOnShuffledDuplicates) {
+  // Seeded unsorted input with many repeats; the reference sorts a copy
+  // and interpolates between neighbours, which the selection-based
+  // percentile must match bit for bit.
+  std::mt19937_64 gen(0x5eed);
+  for (const std::size_t n : {1u, 2u, 7u, 64u, 1001u}) {
+    std::vector<double> v(n);
+    for (double& x : v) x = static_cast<double>(gen() % 23) * 0.25 - 1.0;
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    const double p = std::clamp(GetParam().first, 0.0, 100.0);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = rank - static_cast<double>(lo);
+    const double expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    const std::vector<double> before = v;
+    EXPECT_EQ(percentile(v, GetParam().first), expected) << "n " << n;
+    EXPECT_EQ(v, before);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
