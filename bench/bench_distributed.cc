@@ -4,18 +4,17 @@
 // re-leasing its cells — still bit-identical — and (c) keep the fabric's
 // coordination overhead bounded relative to in-process execution on the
 // same grid. Writes the measurements to BENCH_distributed.json (path
-// overridable as argv[1]); the overhead ceiling is a multiple of the
-// in-process wall time, overridable with ROOTSTRESS_FABRIC_OVERHEAD_MAX.
+// overridable as argv[1]); the overhead ceiling is 3x the in-process
+// wall time.
 //
 // Exit status is the contract: nonzero on any digest mismatch, a lost
 // cell, or overhead past the ceiling — scripts/check.sh runs this as the
 // distributed gate.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "rootstress.h"
 
 using namespace rootstress;
@@ -75,11 +74,7 @@ int main(int argc, char** argv) {
   // The fabric forks, leases, heartbeats, and ships every summary as
   // JSON, so some overhead is physics — but on a 6-cell grid it must
   // stay within this multiple of the in-process wall time.
-  double overhead_max = 3.0;
-  if (const char* env = std::getenv("ROOTSTRESS_FABRIC_OVERHEAD_MAX");
-      env != nullptr && *env != '\0') {
-    overhead_max = std::atof(env);
-  }
+  const double overhead_max = 3.0;
 
   std::printf("in-process reference (4 workers)...\n");
   const sweep::CampaignResult inproc =
@@ -138,9 +133,7 @@ int main(int argc, char** argv) {
           obs::JsonValue(static_cast<double>(incomplete)));
   doc.set("digests_identical", obs::JsonValue(diverged == 0));
   doc.set("pass", obs::JsonValue(pass));
-  std::ofstream out(out_path);
-  out << doc.dump() << "\n";
-  std::printf("wrote %s\n", out_path);
+  bench::write_bench_json(out_path, std::move(doc));
 
   if (!pass) {
     std::puts("FAIL: distributed fabric gate");

@@ -6,16 +6,13 @@
 // Writes the measurements to BENCH_netio.json (path overridable as
 // argv[1]).
 //
-// Knobs: ROOTSTRESS_NETIO_QPS_BAR overrides the throughput bar (default
-// 50000 q/s — the ISSUE acceptance floor), ROOTSTRESS_NETIO_CAL_TOL the
-// calibration tolerance (default 0.10). Exit status is the contract:
-// nonzero when any leg fails — scripts/check.sh runs this as the netio
-// gate.
+// The throughput bar is 50000 q/s and the calibration tolerance 10%.
+// Exit status is the contract: nonzero when any leg fails —
+// scripts/check.sh runs this as the netio gate.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
+#include "bench_json.h"
 #include "netio/calibration.h"
 #include "netio/generator.h"
 #include "netio/server.h"
@@ -24,11 +21,6 @@
 using namespace rootstress;
 
 namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' ? std::atof(value) : fallback;
-}
 
 struct LegResult {
   netio::GeneratorReport report;
@@ -82,8 +74,8 @@ LegResult run_leg(double offered_qps, double capacity_qps, double duration_s,
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_netio.json";
-  const double qps_bar = env_double("ROOTSTRESS_NETIO_QPS_BAR", 50e3);
-  const double cal_tol = env_double("ROOTSTRESS_NETIO_CAL_TOL", 0.10);
+  const double qps_bar = 50e3;
+  const double cal_tol = 0.10;
 
   // Leg A — throughput: offer 1.4x the bar with no capacity gate; both
   // the achieved send rate and the server's answer rate must clear it.
@@ -169,9 +161,7 @@ int main(int argc, char** argv) {
   leg_c.set("pass", obs::JsonValue(c_pass));
   doc.set("portable", std::move(leg_c));
   doc.set("pass", obs::JsonValue(pass));
-  std::ofstream out(out_path);
-  out << doc.dump() << "\n";
-  std::printf("wrote %s\n", out_path);
+  bench::write_bench_json(out_path, std::move(doc));
 
   if (!pass) {
     std::puts("FAIL: netio gate");

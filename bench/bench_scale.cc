@@ -20,10 +20,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "bgp/catchment.h"
 #include "obs/json.h"
 #include "obs/runtime.h"
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   const bool full = full_env != nullptr && full_env[0] == '1';
 
   // -- Churn cell -------------------------------------------------------
-  const int churn_ases = full ? 10000 : 10000;
+  const int churn_ases = 10000;
   const int churn_sites = 64;
   const int churn_ops = full ? 600 : 300;
   std::printf("churn cell: %d ASes, %d sites, %d ops\n", churn_ases,
@@ -264,9 +264,7 @@ int main(int argc, char** argv) {
 
   const bool pass = identical && speedup >= 5.0;
   doc.set("pass", obs::JsonValue(pass));
-  std::ofstream out(out_path);
-  out << doc.dump() << "\n";
-  std::printf("wrote %s\n", out_path);
+  bench::write_bench_json(out_path, std::move(doc));
 
   if (!pass) {
     std::puts("FAIL");

@@ -9,9 +9,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <random>
 
+#include "bench_json.h"
 #include "rootstress.h"
 
 using namespace rootstress;
@@ -90,11 +90,9 @@ int main(int argc, char** argv) {
   doc.set("warm_executed", obs::JsonValue(static_cast<double>(warm.executed)));
   doc.set("warm_identical", obs::JsonValue(identical));
   doc.set("pass", obs::JsonValue(pass));
-  std::ofstream out(out_path);
-  out << doc.dump() << "\n";
   std::printf("cells/minute (cold): %.1f; cache-hit speedup: %.0fx\n",
               cells_per_minute, speedup);
-  std::printf("wrote %s\n", out_path);
+  bench::write_bench_json(out_path, std::move(doc));
 
   std::filesystem::remove_all(cache_dir);
   std::puts(pass ? "PASS" : "FAIL");

@@ -39,22 +39,6 @@ sim::ScenarioConfig duel_base(int stubs, int threads = 0) {
       .build();
 }
 
-double served_fraction(const sim::SimulationResult& result, int service,
-                       const attack::AttackSchedule& schedule) {
-  double served = 0.0;
-  double failed = 0.0;
-  for (const auto& event : schedule.events()) {
-    served += core::mean_qps_over(
-        result.service_served_legit_qps[static_cast<std::size_t>(service)],
-        event.when);
-    failed += core::mean_qps_over(
-        result.service_failed_legit_qps[static_cast<std::size_t>(service)],
-        event.when);
-  }
-  const double total = served + failed;
-  return total > 0.0 ? served / total : 1.0;
-}
-
 std::int64_t attack_onset_ms(const attack::AttackSchedule& schedule) {
   std::int64_t onset = schedule.events().front().when.begin.ms;
   for (const auto& event : schedule.events()) {
@@ -100,6 +84,10 @@ int main(int argc, char** argv) {
   std::printf("%-8s", "letter");
   for (const Arm& arm : arms) std::printf("  %22s", arm.plan.name.c_str());
   std::printf("\n");
+  std::vector<net::SimInterval> windows;
+  for (const auto& event : reference.schedule.events()) {
+    windows.push_back(event.when);
+  }
   const auto letter_table = anycast::root_letter_table(0);
   for (const auto& entry : letter_table) {
     if (!entry.attacked) continue;
@@ -108,7 +96,7 @@ int main(int argc, char** argv) {
     std::printf("%-8c", entry.letter);
     for (Arm& arm : arms) {
       const double fraction =
-          served_fraction(arm.result, service, reference.schedule);
+          core::served_fraction(arm.result, service, windows);
       arm.mean_attacked_served += fraction;
       std::printf("  %22.4f", fraction);
     }

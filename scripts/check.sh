@@ -26,11 +26,12 @@
 #      baseline, fault-laden runs are thread-count invariant, the patient
 #      plan out-oscillates nothing, and the fault-schedule campaign axis
 #      caches four distinct digests cold then serves them all warm.
-#   6. Observability gate: bench_obs_overhead (full telemetry incl. the
-#      flight recorder must stay within 5% of a dark run on the June 2016
-#      scenario, writing BENCH_obs.json), and the first pulse_duel pass
-#      re-run with ROOTSTRESS_PERFETTO set — the exported Chrome-trace
-#      document must be valid JSON with a traceEvents array.
+#   6. Observability gate: bench_ab obs (full telemetry incl. the flight
+#      recorder against a dark run on the June 2016 scenario: the median
+#      of 7 interleaved pairs' time ratios must stay within 1.05, writing
+#      BENCH_obs.json), and the first pulse_duel pass re-run with
+#      ROOTSTRESS_PERFETTO set — the exported Chrome-trace document must
+#      be valid JSON with a traceEvents array.
 #   7. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
 #      cell must show incremental BGP >= 5x faster than full recompute
 #      with bit-identical RouteChange/catchment output, plus records/sec
@@ -56,8 +57,9 @@
 #      non-zero unless cached+retrying resolvers beat cache-less clients
 #      through the pulse window, reports are thread-count invariant, and
 #      the resolver-profile campaign axis caches distinct digests — and
-#      bench_enduser (stepping the population must cost < 5% wall clock
-#      and leave every server-side series bit-identical, writing
+#      bench_ab enduser (the median of 7 interleaved pairs' time ratios,
+#      population on over off, must stay within 1.05, and every
+#      server-side series must stay bit-identical, writing
 #      BENCH_enduser.json).
 #  11. Debug build with ThreadSanitizer and -Werror, running the
 #      thread-pool unit tests, the parallel-determinism integration test
@@ -72,9 +74,13 @@
 #      tests (sharded stepping races), and the netio
 #      socket/server/generator tests (real threads + real sockets) under
 #      TSan.
+#  12. Debug build with AddressSanitizer and UndefinedBehaviorSanitizer
+#      (float-cast-overflow named explicitly: GCC's -fsanitize=undefined
+#      leaves it out), any report fatal, and -Werror, running the whole
+#      test suite.
 #
 # Usage: scripts/check.sh  (from the repo root; build trees land in
-# build/check-release and build/check-tsan).
+# build/check-release, build/check-tsan and build/check-asan).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -162,7 +168,7 @@ ROOTSTRESS_THREADS=4 ./build/check-release/examples/pulse_duel --quick \
 rm -rf "$PULSE_CACHE"
 
 echo "=== Telemetry overhead: flight recorder must stay within budget ==="
-./build/check-release/bench/bench_obs_overhead BENCH_obs.json
+./build/check-release/bench/bench_ab obs
 
 echo "=== Scale gate: incremental BGP must beat full recompute 5x ==="
 ./build/check-release/bench/bench_scale BENCH_scale.json
@@ -227,7 +233,7 @@ ROOTSTRESS_THREADS=4 ./build/check-release/examples/enduser_duel --quick \
 rm -rf "$ENDUSER_CACHE"
 
 echo "=== Resolver-population overhead: in-loop clients must stay free ==="
-./build/check-release/bench/bench_enduser BENCH_enduser.json
+./build/check-release/bench/bench_ab enduser
 
 echo "=== Debug + ThreadSanitizer build ==="
 cmake -B build/check-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
@@ -249,5 +255,13 @@ echo "=== Netio tests under TSan: sockets + server + generator threads ==="
 (cd build/check-tsan &&
   ./tests/netio_test \
     --gtest_filter='Modes/SocketRoundTrip.*:WireServer.LoopbackIntegrationAnswersRealSocketQuery:LoadGenerator.*')
+
+echo "=== Debug + AddressSanitizer + UBSan build, whole suite ==="
+SANITIZE="-fsanitize=address,undefined,float-cast-overflow"
+cmake -B build/check-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="$SANITIZE -fno-sanitize-recover=all -fno-omit-frame-pointer -Werror" \
+  -DCMAKE_EXE_LINKER_FLAGS="$SANITIZE"
+cmake --build build/check-asan -j
+(cd build/check-asan && ctest --output-on-failure -j)
 
 echo "ALL CHECKS PASSED"

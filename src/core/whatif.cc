@@ -31,6 +31,22 @@ double mean_qps_over(const util::BinnedSeries& series,
   return bins == 0 ? 0.0 : total / bins;
 }
 
+double served_fraction(const sim::SimulationResult& result, int service,
+                       std::span<const net::SimInterval> windows) {
+  const auto& served =
+      result.service_served_legit_qps[static_cast<std::size_t>(service)];
+  const auto& failed =
+      result.service_failed_legit_qps[static_cast<std::size_t>(service)];
+  double served_sum = 0.0;
+  double failed_sum = 0.0;
+  for (const net::SimInterval& window : windows) {
+    served_sum += mean_qps_over(served, window);
+    failed_sum += mean_qps_over(failed, window);
+  }
+  const double total = served_sum + failed_sum;
+  return total > 0.0 ? served_sum / total : 1.0;
+}
+
 void apply_policy_regime(sim::ScenarioConfig& config, PolicyRegime regime) {
   switch (regime) {
     case PolicyRegime::kAsDeployed:
@@ -70,18 +86,12 @@ RegimeOutcome run_regime(sim::ScenarioConfig config, PolicyRegime regime) {
   for (const auto& cfg : letters) {
     const int s = result.service_index(cfg.letter);
     if (s < 0) continue;
-    const auto& served =
-        result.service_served_legit_qps[static_cast<std::size_t>(s)];
-    const auto& failed =
-        result.service_failed_legit_qps[static_cast<std::size_t>(s)];
     RegimeLetterOutcome lo;
     lo.letter = cfg.letter;
-    const double s1 = mean_qps_over(served, attack::kEvent1);
-    const double f1 = mean_qps_over(failed, attack::kEvent1);
-    const double s2 = mean_qps_over(served, attack::kEvent2);
-    const double f2 = mean_qps_over(failed, attack::kEvent2);
-    lo.served_fraction_event1 = s1 + f1 > 0.0 ? s1 / (s1 + f1) : 1.0;
-    lo.served_fraction_event2 = s2 + f2 > 0.0 ? s2 / (s2 + f2) : 1.0;
+    lo.served_fraction_event1 =
+        served_fraction(result, s, {&attack::kEvent1, 1});
+    lo.served_fraction_event2 =
+        served_fraction(result, s, {&attack::kEvent2, 1});
     lo.route_changes =
         static_cast<int>(analysis::route_change_count(result, s));
     if (cfg.attacked) {

@@ -10,11 +10,16 @@
 //   - kOracle:     per-step omniscient advice from anycast::advise
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "sim/scenario.h"
 #include "util/time_series.h"
+
+namespace rootstress::sim {
+struct SimulationResult;
+}
 
 namespace rootstress::core {
 
@@ -38,6 +43,13 @@ void apply_policy_regime(sim::ScenarioConfig& config, PolicyRegime regime);
 /// Mean of a binned q/s series over `window` (mean of the bin means that
 /// overlap it); 0 when no bin overlaps.
 double mean_qps_over(const util::BinnedSeries& series, net::SimInterval window);
+
+/// Legit served / (served + failed) of `service`, each side summed over
+/// `windows` with mean_qps_over; 1.0 when the windows carry no legit
+/// traffic. The one per-letter served-fraction formula: run summaries,
+/// the regime comparison and the playbook duel all read it.
+double served_fraction(const sim::SimulationResult& result, int service,
+                       std::span<const net::SimInterval> windows);
 
 /// Outcome of one regime on one letter.
 struct RegimeLetterOutcome {

@@ -16,9 +16,9 @@
 //    the timeline back, so recording is digest-neutral: RunSummary is
 //    bit-identical with the recorder on or off, at any thread count.
 //  - Every series is preallocated to the run's bin count at
-//    registration; record() is a bounds-check plus two array writes —
-//    cheap enough to run per site per step inside the 5% telemetry
-//    overhead budget bench_obs_overhead enforces.
+//    registration; record() is a bounds-check plus two array writes,
+//    cheap enough to run per site per step. `bench_ab obs` times the
+//    whole telemetry stack against a dark run.
 //  - The recorder lives behind the nullable obs::Runtime* like every
 //    other telemetry surface; its plain-data snapshot (TimelineData)
 //    rides on obs::Snapshot and is exported by core::write_telemetry.

@@ -1,7 +1,7 @@
 #include "sweep/summary.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 #include "analysis/route_changes.h"
@@ -55,30 +55,6 @@ bool RunSummary::operator==(const RunSummary& other) const noexcept {
 }
 
 namespace {
-
-/// Served fraction of a service's legit traffic over the scenario's
-/// attack windows (whole span without a schedule).
-double served_fraction(const sim::SimulationResult& result, int service,
-                       const attack::AttackSchedule& schedule) {
-  const auto& served =
-      result.service_served_legit_qps[static_cast<std::size_t>(service)];
-  const auto& failed =
-      result.service_failed_legit_qps[static_cast<std::size_t>(service)];
-  double served_sum = 0.0;
-  double failed_sum = 0.0;
-  if (schedule.events().empty()) {
-    const net::SimInterval whole{result.start, result.end};
-    served_sum = core::mean_qps_over(served, whole);
-    failed_sum = core::mean_qps_over(failed, whole);
-  } else {
-    for (const auto& event : schedule.events()) {
-      served_sum += core::mean_qps_over(served, event.when);
-      failed_sum += core::mean_qps_over(failed, event.when);
-    }
-  }
-  const double total = served_sum + failed_sum;
-  return total > 0.0 ? served_sum / total : 1.0;
-}
 
 /// Whether `letter` takes fire at some point of the run: statically
 /// attacked, or named by any pulse's rotating target sets.
@@ -195,6 +171,14 @@ RunSummary summarize(const sim::ScenarioConfig& config,
   // letter table is deterministic (seed only perturbs site synthesis).
   const auto letter_table = anycast::root_letter_table(0);
 
+  // Served fractions cover the attack windows, or the whole span when
+  // the scenario has no schedule.
+  std::vector<net::SimInterval> windows;
+  for (const auto& event : config.schedule.events()) {
+    windows.push_back(event.when);
+  }
+  if (windows.empty()) windows.push_back({result.start, result.end});
+
   double served_sum = 0.0;
   int attacked = 0;
   std::vector<int> engaged_services;
@@ -204,7 +188,7 @@ RunSummary summarize(const sim::ScenarioConfig& config,
     LetterCellSummary cell;
     cell.letter = ls.letter;
     cell.attacked = anycast::find_letter(letter_table, ls.letter).attacked;
-    cell.served_fraction = served_fraction(result, s, config.schedule);
+    cell.served_fraction = core::served_fraction(result, s, windows);
     cell.baseline_vps = ls.baseline_vps;
     cell.min_vps = ls.min_vps;
     cell.worst_loss = ls.worst_loss;
@@ -318,10 +302,17 @@ bool read_number(const obs::JsonValue& doc, const char* key, double* out) {
   return true;
 }
 
-bool read_int(const obs::JsonValue& doc, const char* key, int* out) {
+/// Reads an integer field: the JSON number must be integral and inside
+/// T's range, anything else is a malformed entry. Both bounds are powers
+/// of two, so they and the final cast are exact.
+template <typename T>
+bool read_integer(const obs::JsonValue& doc, const char* key, T* out) {
   double d = 0.0;
   if (!read_number(doc, key, &d)) return false;
-  *out = static_cast<int>(d);
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= lo && d < hi) || std::trunc(d) != d) return false;
+  *out = static_cast<T>(d);
   return true;
 }
 
@@ -354,43 +345,52 @@ std::optional<RunSummary> summary_from_json(const obs::JsonValue& doc) {
   if (doc.kind() != obs::JsonValue::Kind::kObject) return std::nullopt;
   RunSummary summary;
   // The 64-bit hash is stored as a decimal string: JSON numbers are
-  // doubles and would round it.
+  // doubles and would round it. Only digits that fit in 64 bits parse.
   const obs::JsonValue* hash = doc.find("config_hash");
   if (hash == nullptr || hash->kind() != obs::JsonValue::Kind::kString) {
     return std::nullopt;
   }
-  summary.config_hash = std::strtoull(hash->as_string().c_str(), nullptr, 10);
+  const std::string& hash_text = hash->as_string();
+  const char* hash_end = hash_text.data() + hash_text.size();
+  const auto [hash_ptr, hash_ec] =
+      std::from_chars(hash_text.data(), hash_end, summary.config_hash);
+  if (hash_ec != std::errc() || hash_ptr != hash_end) {
+    return std::nullopt;
+  }
 
-  double number = 0.0;
   if (!read_number(doc, "mean_served_attacked", &summary.mean_served_attacked))
     return std::nullopt;
   if (!read_number(doc, "worst_letter_loss", &summary.worst_letter_loss))
     return std::nullopt;
-  if (!read_number(doc, "record_count", &number)) return std::nullopt;
-  summary.record_count = static_cast<std::size_t>(number);
-  if (!read_number(doc, "route_changes", &number)) return std::nullopt;
-  summary.route_changes = static_cast<std::size_t>(number);
-  if (!read_int(doc, "kept_vps", &summary.kept_vps)) return std::nullopt;
+  if (!read_integer(doc, "record_count", &summary.record_count))
+    return std::nullopt;
+  if (!read_integer(doc, "route_changes", &summary.route_changes))
+    return std::nullopt;
+  if (!read_integer(doc, "kept_vps", &summary.kept_vps)) return std::nullopt;
   if (!read_number(doc, "rssac_day0_queries", &summary.rssac_day0_queries))
     return std::nullopt;
-  if (!read_number(doc, "playbook_activations", &number)) return std::nullopt;
-  summary.playbook_activations = static_cast<std::uint64_t>(number);
-  if (!read_number(doc, "playbook_vetoes", &number)) return std::nullopt;
-  summary.playbook_vetoes = static_cast<std::uint64_t>(number);
-  if (!read_number(doc, "time_to_mitigation_ms", &number))
+  if (!read_integer(doc, "playbook_activations",
+                    &summary.playbook_activations)) {
     return std::nullopt;
-  summary.time_to_mitigation_ms = static_cast<std::int64_t>(number);
+  }
+  if (!read_integer(doc, "playbook_vetoes", &summary.playbook_vetoes))
+    return std::nullopt;
+  if (!read_integer(doc, "time_to_mitigation_ms",
+                    &summary.time_to_mitigation_ms)) {
+    return std::nullopt;
+  }
   if (!read_fp_number(doc, "worst_bin_answered", &summary.worst_bin_answered))
     return std::nullopt;
   if (!read_fp_number(doc, "answered_bin_stddev",
                       &summary.answered_bin_stddev)) {
     return std::nullopt;
   }
-  if (!read_number(doc, "recovery_ms", &number)) return std::nullopt;
-  summary.recovery_ms = static_cast<std::int64_t>(number);
-  if (!read_number(doc, "playbook_false_activations", &number))
+  if (!read_integer(doc, "recovery_ms", &summary.recovery_ms))
     return std::nullopt;
-  summary.playbook_false_activations = static_cast<std::uint64_t>(number);
+  if (!read_integer(doc, "playbook_false_activations",
+                    &summary.playbook_false_activations)) {
+    return std::nullopt;
+  }
   // Required fields (strict, like everything above): the code-version
   // salt bump that introduced them invalidates every older cache entry,
   // so no stored summary legitimately lacks them.
@@ -419,25 +419,30 @@ std::optional<RunSummary> summary_from_json(const obs::JsonValue& doc) {
     const obs::JsonValue& l = (*letters)[i];
     LetterCellSummary cell;
     const obs::JsonValue* letter = l.find("letter");
-    if (letter == nullptr || letter->as_string().size() != 1) {
+    if (letter == nullptr || letter->kind() != obs::JsonValue::Kind::kString ||
+        letter->as_string().size() != 1) {
       return std::nullopt;
     }
     cell.letter = letter->as_string()[0];
     const obs::JsonValue* attacked = l.find("attacked");
-    if (attacked == nullptr) return std::nullopt;
+    if (attacked == nullptr ||
+        attacked->kind() != obs::JsonValue::Kind::kBool) {
+      return std::nullopt;
+    }
     cell.attacked = attacked->as_bool();
     if (!read_number(l, "served_fraction", &cell.served_fraction))
       return std::nullopt;
-    if (!read_int(l, "baseline_vps", &cell.baseline_vps)) return std::nullopt;
-    if (!read_int(l, "min_vps", &cell.min_vps)) return std::nullopt;
+    if (!read_integer(l, "baseline_vps", &cell.baseline_vps))
+      return std::nullopt;
+    if (!read_integer(l, "min_vps", &cell.min_vps)) return std::nullopt;
     if (!read_number(l, "worst_loss", &cell.worst_loss)) return std::nullopt;
     if (!read_fp_number(l, "median_rtt_quiet_ms", &cell.median_rtt_quiet_ms))
       return std::nullopt;
     if (!read_fp_number(l, "median_rtt_event_ms", &cell.median_rtt_event_ms))
       return std::nullopt;
-    if (!read_int(l, "site_flips", &cell.site_flips)) return std::nullopt;
-    if (!read_number(l, "route_changes", &number)) return std::nullopt;
-    cell.route_changes = static_cast<std::uint64_t>(number);
+    if (!read_integer(l, "site_flips", &cell.site_flips)) return std::nullopt;
+    if (!read_integer(l, "route_changes", &cell.route_changes))
+      return std::nullopt;
     summary.letters.push_back(cell);
   }
   return summary;

@@ -7,12 +7,15 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "resolver/population.h"
 #include "sim/scenario_builder.h"
+#include "util/rng.h"
 
 namespace rootstress::sweep {
 namespace {
@@ -54,6 +57,25 @@ RunSummary sample_summary() {
   b.route_changes = 42;
   summary.letters.push_back(b);
   return summary;
+}
+
+/// `text` with the value after the first `"key":` replaced by `value`.
+std::string with_field(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = text.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no field " << key;
+    return text;
+  }
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = text.find_first_of(",}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+std::optional<RunSummary> parse_summary(const std::string& text) {
+  const auto doc = obs::json_parse(text);
+  return doc.has_value() ? summary_from_json(*doc) : std::nullopt;
 }
 
 fs::path fresh_dir(const char* name) {
@@ -237,6 +259,49 @@ TEST(Summary, RejectsForeignJson) {
   EXPECT_FALSE(summary_from_json(doc).has_value());
 }
 
+TEST(Summary, RejectsOutOfRangeAndMistypedFields) {
+  const std::string valid = summary_to_json(sample_summary()).dump();
+  ASSERT_TRUE(parse_summary(valid).has_value());
+  // The edit itself is sound: an in-range replacement still parses.
+  ASSERT_TRUE(
+      parse_summary(with_field(valid, "record_count", "0")).has_value());
+
+  const struct {
+    const char* key;
+    const char* value;
+  } rows[] = {
+      {"record_count", "-1"},       // negative into an unsigned count
+      {"record_count", "1e300"},    // beyond 64 bits
+      {"record_count", "2.5"},      // not integral
+      {"baseline_vps", "3e9"},      // beyond int
+      {"attacked", "\"yes\""},      // not a JSON bool
+      {"config_hash", "\"12x\""},   // trailing garbage after the digits
+      {"playbook_vetoes", "-1"},    // negative into an unsigned count
+  };
+  for (const auto& row : rows) {
+    EXPECT_FALSE(parse_summary(with_field(valid, row.key, row.value))
+                     .has_value())
+        << row.key << "=" << row.value;
+  }
+}
+
+TEST(Summary, MutatedJsonIsRejectedOrRoundTrips) {
+  const std::string text = summary_to_json(sample_summary()).dump();
+  util::Rng rng(17);
+  int accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string copy = text;
+    copy[rng.below(copy.size())] = static_cast<char>(rng.below(256));
+    const auto parsed = parse_summary(copy);
+    if (!parsed.has_value()) continue;
+    ++accepted;
+    const auto again = parse_summary(summary_to_json(*parsed).dump());
+    ASSERT_TRUE(again.has_value()) << copy;
+    EXPECT_TRUE(*again == *parsed) << copy;
+  }
+  EXPECT_GT(accepted, 0);  // digit-for-digit swaps stay valid
+}
+
 TEST(RunCache, StoreThenLoadRoundTrips) {
   RunCache cache(fresh_dir("rs_cache_roundtrip"));
   const RunSummary summary = sample_summary();
@@ -282,6 +347,27 @@ TEST(RunCache, CorruptedEntryIsAMiss) {
   }
   EXPECT_FALSE(cache.load(summary.config_hash).has_value());
   EXPECT_GE(cache.stats().invalid, 1u);
+}
+
+TEST(RunCache, OutOfRangeEntryIsAnInvalidMiss) {
+  const fs::path dir = fresh_dir("rs_cache_out_of_range");
+  RunCache cache(dir);
+  const RunSummary summary = sample_summary();
+  cache.store(summary.config_hash, summary);
+
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    in.close();
+    std::ofstream(entry.path(), std::ios::trunc)
+        << with_field(text, "record_count", "-1");
+  }
+  const CacheStats before = cache.stats();
+  EXPECT_FALSE(cache.load(summary.config_hash).has_value());
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.invalid, before.invalid + 1);
+  EXPECT_EQ(after.misses, before.misses + 1);
 }
 
 TEST(RunCache, TruncatedAndGarbageEntriesAreCountedMisses) {
