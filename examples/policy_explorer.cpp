@@ -43,12 +43,15 @@ int main(int argc, char** argv) {
   const std::vector<double> capacity{1500, 260, 420, 500, 320};
   const std::vector<double> offered{1800, 900, 700, 120, 1100};
   const char* names[] = {"AMS", "LHR", "FRA", "MIA", "NRT"};
-  const auto advice = anycast::advise(capacity, offered);
+  std::vector<anycast::SiteAdvice> advice;
+  std::vector<std::size_t> order;
+  anycast::advise(capacity, offered, advice, order);
   for (const auto& a : advice) {
-    std::printf("  %-4s offered %5.0f / cap %5.0f (%.1fx): %-17s %s\n",
+    std::printf("  %-4s offered %5.0f / cap %5.0f (%.1fx): %-17s %.*s\n",
                 names[a.site_index], offered[a.site_index],
                 capacity[a.site_index], a.overload,
-                anycast::to_string(a.action).c_str(), a.rationale.c_str());
+                anycast::to_string(a.action).c_str(),
+                static_cast<int>(a.rationale.size()), a.rationale.data());
   }
   std::puts(
       "\nNote: the paper stresses operators cannot compute this live —\n"

@@ -8,10 +8,14 @@
 #      Table 1 (paper_report table1): its six key observations re-verified
 #      against one full replay; any FAIL row exits non-zero.
 #   2. Bit-identity gate: the benchmark's replay and campaign workloads at
-#      seed 1 (perfbench/run.py, its own Release build) must report zero
-#      failed output checks — their digests must equal the references
-#      pinned in perfbench, so a change that moves any simulation output
-#      bit fails here.
+#      seed 1 (perfbench/run.py, its own Release build), untraced and
+#      traced (--trace 1), must report zero failed output checks — their
+#      digests must equal the references pinned in perfbench, so a change
+#      that moves any simulation output bit fails here. Each traced run
+#      adds 65 checks: 1-lane vs 4-lane and traced replay digests,
+#      evaluate_scenario agreement, 1-worker vs 2-worker campaign
+#      digests, and every cell re-run standalone against its campaign
+#      summary.
 #   3. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
 #      then warm, asserting the warm pass executes ZERO engine runs (the
 #      content-addressed cache contract).
@@ -99,17 +103,20 @@ echo "=== Paper gate: Table 1's key observations must all PASS ==="
 ./build/check-release/bench/paper_report table1
 
 echo "=== Bit-identity gate: pinned replay and campaign digests at seed 1 ==="
-for workload in replay campaign; do
-  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
-    --seconds 5 --trace 0 | tail -n 1)
-  python3 - "$workload" "$result" <<'PYEOF'
+for trace in 0 1; do
+  for workload in replay campaign; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 5 --trace "$trace" | tail -n 1)
+    python3 - "$workload" "$trace" "$result" <<'PYEOF'
 import json, sys
-workload, result = sys.argv[1], json.loads(sys.argv[2])
+workload, trace, result = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 if result["failed"] != 0:
-    sys.exit(f"FAIL: perfbench {workload} at seed 1: {result['failed']} of "
-             f"{result['attempted']} output checks failed")
-print(f"perfbench {workload}: {result['attempted']} checks, 0 failed")
+    sys.exit(f"FAIL: perfbench {workload} at seed 1 (trace {trace}): "
+             f"{result['failed']} of {result['attempted']} output checks failed")
+print(f"perfbench {workload} (trace {trace}): {result['attempted']} checks, "
+      "0 failed")
 PYEOF
+  done
 done
 
 echo "=== Smoke campaign: cold fills the cache, warm must not execute ==="

@@ -15,10 +15,10 @@ std::string to_string(AdvisedAction action) {
   return "?";
 }
 
-std::vector<SiteAdvice> advise(std::span<const double> capacity,
-                               std::span<const double> offered) {
+void advise(std::span<const double> capacity, std::span<const double> offered,
+            std::vector<SiteAdvice>& advice, std::vector<std::size_t>& order) {
   const std::size_t n = std::min(capacity.size(), offered.size());
-  std::vector<SiteAdvice> advice(n);
+  advice.resize(n);
   double total_headroom = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     advice[i].site_index = static_cast<int>(i);
@@ -27,7 +27,7 @@ std::vector<SiteAdvice> advise(std::span<const double> capacity,
   }
 
   // Most-overloaded sites get first claim on the deployment's headroom.
-  std::vector<std::size_t> order(n);
+  order.resize(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return advice[a].overload > advice[b].overload;
@@ -58,7 +58,6 @@ std::vector<SiteAdvice> advise(std::span<const double> capacity,
       a.rationale = "no headroom elsewhere; protect other sites (case 5)";
     }
   }
-  return advice;
 }
 
 }  // namespace rootstress::anycast

@@ -10,8 +10,10 @@
 // the paper calls future work.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rootstress::anycast {
@@ -30,14 +32,17 @@ struct SiteAdvice {
   int site_index = -1;
   AdvisedAction action = AdvisedAction::kNoAction;
   double overload = 0.0;  ///< offered / capacity
-  std::string rationale;
+  std::string_view rationale;  ///< static text
 };
 
 /// Computes advice for every site given per-site capacities and offered
-/// loads (same length). Withdrawal is advised only while the *remaining*
-/// announced sites have enough aggregate headroom to absorb the shed
-/// load; sites are considered in order of decreasing overload.
-std::vector<SiteAdvice> advise(std::span<const double> capacity,
-                               std::span<const double> offered);
+/// loads (same length; a longer span's tail is ignored) into `advice`,
+/// one entry per site in site order. Withdrawal is advised only while
+/// the *remaining* announced sites have enough aggregate headroom to
+/// absorb the shed load; sites are considered in order of decreasing
+/// overload, sorted in `order`. Both buffers are caller-owned so a
+/// caller advising every step reuses their capacity.
+void advise(std::span<const double> capacity, std::span<const double> offered,
+            std::vector<SiteAdvice>& advice, std::vector<std::size_t>& order);
 
 }  // namespace rootstress::anycast

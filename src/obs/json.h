@@ -6,7 +6,9 @@
 // every telemetry artifact and to parse them back in tests and tooling.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -92,5 +94,21 @@ void json_escape(std::string_view text, std::string& out);
 /// garbage. Accepts the subset dump() produces plus standard whitespace
 /// and escape sequences (\uXXXX escapes decode to UTF-8).
 std::optional<JsonValue> json_parse(std::string_view text);
+
+/// Reads member `key` of `doc` as a T: it must be a JSON number that is
+/// integral and inside T's range. Anything else (absent, another kind,
+/// fractional, out of range) returns false and leaves *out alone. Both
+/// bounds are powers of two, so they and the final cast are exact.
+template <typename T>
+bool read_integer(const JsonValue& doc, std::string_view key, T* out) {
+  const JsonValue* v = doc.find(key);
+  if (v == nullptr || v->kind() != JsonValue::Kind::kNumber) return false;
+  const double d = v->as_number();
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= lo && d < hi) || std::trunc(d) != d) return false;
+  *out = static_cast<T>(d);
+  return true;
+}
 
 }  // namespace rootstress::obs

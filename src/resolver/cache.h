@@ -7,63 +7,59 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/clock.h"
 
 namespace rootstress::resolver {
 
-/// A TTL cache keyed by name hash (the value is implicit: we only track
-/// whether the referral is still valid).
+/// A TTL cache over a dense key space [0, key_space) (the value is
+/// implicit: we only track whether the referral is still valid). Keys are
+/// table indices, so lookups neither hash nor allocate.
 class TtlCache {
  public:
-  /// `capacity` bounds memory; inserting beyond it evicts the entry
-  /// closest to expiry. A zero capacity stores nothing (every lookup
-  /// misses) instead of invoking UB on the empty map.
-  explicit TtlCache(std::size_t capacity = 10000);
+  /// Allocates the whole table here, once: one expiry (8 B) per key.
+  /// `capacity` bounds the entries held; it can only bind when
+  /// capacity < key_space, and then inserting a new key into a full
+  /// cache evicts the entry with the smallest expiry, a tie going to the
+  /// smallest key. A zero capacity stores nothing.
+  TtlCache(std::size_t capacity, std::size_t key_space);
 
-  /// True if `key` is cached and fresh at `now`. An entry found expired
-  /// is erased on the spot (counted in expirations()) so stale entries
-  /// never pin capacity until the next sweep().
+  /// True if `key` (< key_space) is cached and fresh at `now`. An entry
+  /// found expired is erased on the spot, so stale entries never pin
+  /// capacity.
   bool hit(std::uint64_t key, net::SimTime now);
 
-  /// Inserts/refreshes `key` until now + ttl.
+  /// Inserts/refreshes `key` (< key_space) until now + ttl.
   void put(std::uint64_t key, net::SimTime now, net::SimTime ttl);
 
-  /// Drops expired entries (called opportunistically).
-  void sweep(net::SimTime now);
-
-  std::size_t size() const noexcept { return entries_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-  /// Entries erased because a lookup found them expired.
-  std::uint64_t expirations() const noexcept { return expirations_; }
+  std::size_t size() const noexcept { return size_; }
 
  private:
-  /// One eviction-order record. The heap is lazy: a record whose expiry
-  /// no longer matches the live entry (refreshed or already erased) is
-  /// skipped when popped, so put() stays amortized O(log n) instead of
-  /// the old O(n) full scan.
+  /// One eviction-order record, ordered by (expiry, key). The heap is
+  /// lazy: a record whose expiry no longer matches its key's table entry
+  /// (refreshed or already erased) is skipped when popped, so put() stays
+  /// amortized O(log n).
   struct HeapEntry {
     net::SimTime expiry{};
     std::uint64_t key = 0;
+
+    auto operator<=>(const HeapEntry&) const = default;
   };
 
-  /// Erases the live entry closest to expiry (min-heap pop, skipping
-  /// stale records).
+  /// Only a cache smaller than its key space can fill up; one that cannot
+  /// keeps no eviction records at all.
+  bool can_fill() const noexcept { return capacity_ < expiry_.size(); }
+  /// Erases the live entry that sorts first by (expiry, key).
   void evict_one();
-  /// Rebuilds the heap from the live entries when stale records dominate
+  /// Drops stale and duplicate records when they dominate the heap
   /// (amortized O(1) per operation).
   void maybe_compact();
 
   std::size_t capacity_;
-  std::unordered_map<std::uint64_t, net::SimTime> entries_;  ///< expiry
-  std::vector<HeapEntry> heap_;  ///< min-heap on expiry, lazily pruned
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t expirations_ = 0;
+  std::size_t size_ = 0;
+  std::vector<net::SimTime> expiry_;  ///< per key; kAbsent when not held
+  std::vector<HeapEntry> heap_;  ///< min-heap on (expiry, key), lazily pruned
 };
 
 }  // namespace rootstress::resolver

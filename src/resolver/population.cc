@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace rootstress::resolver {
 
@@ -15,6 +16,9 @@ constexpr double kCacheAnswerMs = 1.0;
 /// Pools below this size step their shards inline instead of through the
 /// thread pool (see the dispatch-cost note in step()).
 constexpr int kParallelResolverThreshold = 4096;
+
+/// Each resolver's cache keeps an 8-byte expiry per name: 512 KB here.
+constexpr int kMaxNameSpace = 65536;
 
 /// Counter-based stream key for (seed, resolver, step): the same
 /// chained-mix construction as sim/probe_rng.h, so a resolver's draws
@@ -57,6 +61,10 @@ std::string validate_population(const PopulationConfig& config) {
   }
   if (config.referral_ttl.ms <= 0) return "referral TTL must be positive";
   if (config.name_space < 1) return "name space must be positive";
+  if (config.name_space > kMaxNameSpace) {
+    return "name space above 65536 (each resolver's cache keeps an 8-byte "
+           "expiry per name: 512 KB per resolver at the bound)";
+  }
   if (!(config.demand_skew >= 0.0)) return "demand skew must be non-negative";
   if (config.max_attempts < 1) return "max attempts must be at least 1";
   if (!(config.per_try_timeout_ms > 0.0)) {
@@ -80,6 +88,13 @@ obs::JsonValue population_fingerprint(const PopulationConfig& config) {
   doc.set("enable_cache", obs::JsonValue(config.enable_cache));
   doc.set("cache_capacity",
           obs::JsonValue(static_cast<std::uint64_t>(config.cache_capacity)));
+  // Only a cache that can fill up evicts, and only then does the rule
+  // shape results; absent otherwise, so those profiles keep their keys.
+  if (config.enable_cache && config.cache_capacity > 0 &&
+      config.name_space > 0 &&
+      static_cast<std::size_t>(config.name_space) > config.cache_capacity) {
+    doc.set("eviction", obs::JsonValue("expiry-then-key"));
+  }
   return doc;
 }
 
@@ -153,6 +168,10 @@ ResolverPopulation::ResolverPopulation(const PopulationConfig& config,
                                        net::SimTime step_width,
                                        net::SimTime bin_width)
     : config_(config), seed_(seed), start_(start), step_width_(step_width) {
+  if (const std::string problem = validate_population(config_);
+      !problem.empty()) {
+    throw std::invalid_argument(problem);
+  }
   queries_per_step_ =
       config_.root_lookups_per_hour / 3600.0 * step_width.seconds();
 
@@ -176,12 +195,18 @@ ResolverPopulation::ResolverPopulation(const PopulationConfig& config,
       total > 0.0 ? static_cast<double>(config_.resolvers) / total : 1.0;
 
   resolvers_.reserve(static_cast<std::size_t>(config_.resolvers));
+  // Names are drawn as indices in [0, name_space), so they key the
+  // cache's table directly; a cache-less resolver never looks one up.
+  const std::size_t cache_capacity =
+      config_.enable_cache ? config_.cache_capacity : 0;
+  const std::size_t cache_keys =
+      config_.enable_cache ? static_cast<std::size_t>(config_.name_space) : 0;
   for (int r = 0; r < config_.resolvers; ++r) {
     // `r` as the fixed preference spreads fresh kSrtt/kFixed resolvers
     // across letters instead of herding the pool (satellite 2's bug).
     resolvers_.push_back(ResolverState{
         LetterSelector(config_.strategy, r),
-        TtlCache(config_.enable_cache ? config_.cache_capacity : 0),
+        TtlCache(cache_capacity, cache_keys),
         weights[static_cast<std::size_t>(r)] * norm});
   }
 

@@ -54,6 +54,7 @@ struct PopulationConfig {
   /// multi-day TTLs; 24h is a conservative floor).
   net::SimTime referral_ttl = net::SimTime::from_hours(24);
   /// Distinct query names per resolver (controls the cache hit rate).
+  /// At most 65536: each resolver's cache keeps an 8-byte expiry per name.
   int name_space = 500;
   /// Hyperbolic demand skew: resolver r's weight is 1/(r+1)^skew,
   /// normalized to mean 1. 0 = uniform demand; 1 = classic Zipf-ish
@@ -64,18 +65,23 @@ struct PopulationConfig {
   /// An attempt slower than this counts as failed (client-side timer).
   double per_try_timeout_ms = 1500.0;
   bool enable_cache = true;
-  /// Per-resolver cache capacity; 0 disables storage outright.
+  /// Per-resolver cache capacity; 0 disables storage outright. Only a
+  /// capacity below name_space can fill, and then the entry nearest
+  /// expiry is evicted (a tie goes to the smallest name).
   std::size_t cache_capacity = 1000;
 
   bool operator==(const PopulationConfig&) const = default;
 };
 
 /// Empty when the config is usable, else the first problem (the engine
-/// rejects invalid profiles with std::invalid_argument carrying this).
+/// and ResolverPopulation reject invalid profiles with
+/// std::invalid_argument carrying this).
 std::string validate_population(const PopulationConfig& config);
 
 /// Canonical content fingerprint for the campaign cache. The name is a
 /// display label and is excluded (same convention as playbook / fault).
+/// An "eviction" field naming the eviction rule appears only when the
+/// cache can evict (enabled, 0 < cache_capacity < name_space).
 obs::JsonValue population_fingerprint(const PopulationConfig& config);
 
 /// The population's user-experience series: per-bin counters plus

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -236,6 +237,21 @@ SimulationResult SimulationEngine::run() {
     result.site_loss_fraction.emplace_back(config_.start.ms,
                                            config_.bin_width.ms, bins);
   }
+#ifndef NDEBUG
+  // Fluid pass 2 resolves each step's bin once for all seven series it
+  // writes, which holds only while they share this grid.
+  for (const auto* family :
+       {&result.service_offered_qps, &result.service_served_qps,
+        &result.service_served_legit_qps, &result.service_failed_legit_qps,
+        &result.site_served_qps, &result.site_offered_attack_qps,
+        &result.site_loss_fraction}) {
+    for (const util::BinnedSeries& series : *family) {
+      assert(series.start_ms() == config_.start.ms &&
+             series.bin_ms() == config_.bin_width.ms &&
+             series.bin_count() == bins);
+    }
+  }
+#endif
   result.vps = vps_;
   result.build_lookup_tables();
   for (const auto& cfg : deployment_->letters()) {
@@ -838,8 +854,13 @@ void SimulationEngine::run_fluid_step(
   // Pass 2 (parallel over services): evaluate every site's queue with
   // its facility's shared loss, and record the fluid series. Sites
   // belong to exactly one service, so site state, per-site series, and
-  // per-service series/gauges are all lane-private.
+  // per-service series/gauges are all lane-private. Every series pass 2
+  // writes shares one grid (checked in run()), so the step's bin is
+  // resolved once.
   const double step_s = config_.step.seconds();
+  const std::size_t bin = result.service_offered_qps.empty()
+                              ? util::BinnedSeries::npos
+                              : result.service_offered_qps.front().bin_of(t.ms);
   pool_->parallel_for(services.size(), [&](std::size_t s) {
     const auto& svc = services[s];
     const auto& load = current_loads_[s];
@@ -862,16 +883,15 @@ void SimulationEngine::run_fluid_step(
       served_total += served;
       served_legit += lq * (1.0 - site.arrival_loss());
       failed_legit += lq * site.arrival_loss();
-      result.site_served_qps[static_cast<std::size_t>(id)].add(t.ms, served);
-      result.site_offered_attack_qps[static_cast<std::size_t>(id)].add(
-          t.ms, attack);
-      result.site_loss_fraction[static_cast<std::size_t>(id)].add(
-          t.ms, site.arrival_loss());
+      const auto idx = static_cast<std::size_t>(id);
+      result.site_served_qps[idx].add_to_bin(bin, served);
+      result.site_offered_attack_qps[idx].add_to_bin(bin, attack);
+      result.site_loss_fraction[idx].add_to_bin(bin, site.arrival_loss());
     }
-    result.service_offered_qps[s].add(t.ms, offered_total);
-    result.service_served_qps[s].add(t.ms, served_total);
-    result.service_served_legit_qps[s].add(t.ms, served_legit);
-    result.service_failed_legit_qps[s].add(t.ms, failed_legit);
+    result.service_offered_qps[s].add_to_bin(bin, offered_total);
+    result.service_served_qps[s].add_to_bin(bin, served_total);
+    result.service_served_legit_qps[s].add_to_bin(bin, served_legit);
+    result.service_failed_legit_qps[s].add_to_bin(bin, failed_legit);
     prev_failed_legit_[s] = failed_legit;
     step_offered_[s] = offered_total;
     step_served_[s] = served_total;
@@ -1193,24 +1213,24 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
   // controller oscillates every step).
   constexpr double kDecayPerStep = 0.995;
   constexpr net::SimTime kCoolDown = net::SimTime::from_minutes(20);
+  const auto& services = deployment_->services();
   if (adaptive_last_offered_.empty()) {
     adaptive_last_offered_.assign(
         static_cast<std::size_t>(deployment_->site_count()), 0.0);
     adaptive_last_change_.assign(
         static_cast<std::size_t>(deployment_->site_count()),
         net::SimTime(-3600'000));
+    adaptive_advice_counters_.assign(services.size(), {});
   }
-  const auto& services = deployment_->services();
   for (std::size_t s = 0; s < services.size(); ++s) {
     const auto& svc = services[s];
     if (svc.letter_index < 0) continue;  // .nl keeps its own policy
     const auto& load = current_loads_[s];
-    std::vector<double> capacity, offered;
-    capacity.reserve(svc.site_ids.size());
-    offered.reserve(svc.site_ids.size());
+    adaptive_capacity_.clear();
+    adaptive_offered_.clear();
     for (const int id : svc.site_ids) {
       const auto& site = deployment_->site(id);
-      capacity.push_back(site.spec().capacity_qps);
+      adaptive_capacity_.push_back(site.spec().capacity_qps);
       const double observed =
           load.attack_qps[static_cast<std::size_t>(id)] +
           load.legit_qps[static_cast<std::size_t>(id)];
@@ -1219,23 +1239,28 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
         remembered *= kDecayPerStep;  // withdrawn (or shrinking): decay
       }
       remembered = std::max(remembered, observed);
-      offered.push_back(remembered);
+      adaptive_offered_.push_back(remembered);
     }
-    const auto advice = anycast::advise(capacity, offered);
+    anycast::advise(adaptive_capacity_, adaptive_offered_, adaptive_advice_,
+                    adaptive_order_);
     if (obs_) {
       // Count every recommendation before applying any: applying one
       // can register other metrics, and registration order is part of
-      // the telemetry snapshot.
-      for (const auto& a : advice) {
+      // the telemetry snapshot. A counter registers on its first use, as
+      // a registry lookup would, and is cached from then on.
+      for (const auto& a : adaptive_advice_) {
         if (a.action == anycast::AdvisedAction::kNoAction) continue;
-        obs_->metrics()
-            .counter("defense.advice",
-                     {{"letter", std::string(1, svc.letter)},
-                      {"action", anycast::to_string(a.action)}})
-            .add();
+        obs::Counter*& counter =
+            adaptive_advice_counters_[s][static_cast<std::size_t>(a.action)];
+        if (counter == nullptr) {
+          counter = &obs_->metrics().counter(
+              "defense.advice", {{"letter", std::string(1, svc.letter)},
+                                 {"action", anycast::to_string(a.action)}});
+        }
+        counter->add();
       }
     }
-    for (const auto& a : advice) {
+    for (const auto& a : adaptive_advice_) {
       const int id = svc.site_ids[static_cast<std::size_t>(a.site_index)];
       auto& site = deployment_->site(id);
       // A fault-held site is physically down; no advice can act on it.
@@ -1265,7 +1290,8 @@ void SimulationEngine::apply_adaptive_defense(net::SimTime now) {
         adaptive_last_change_[static_cast<std::size_t>(id)] = now;
         obs::emit_event(obs_.get(), obs::TraceEventType::kDefenseActivation,
                         now, site.letter(), site.label(),
-                        anycast::to_string(a.action) + ": " + a.rationale,
+                        anycast::to_string(a.action) + ": " +
+                            std::string(a.rationale),
                         a.overload);
       }
     }

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "anycast/defense.h"
 #include "anycast/deployment.h"
 #include "atlas/cleaning.h"
 #include "atlas/population.h"
@@ -325,6 +326,15 @@ class SimulationEngine : private playbook::ActuationBackend {
   /// Per-site time of the controller's last scope change (20-min
   /// cool-down between decisions).
   std::vector<net::SimTime> adaptive_last_change_;
+  /// The advisor's per-step buffers (one service at a time), reused for
+  /// the whole run.
+  std::vector<double> adaptive_capacity_;
+  std::vector<double> adaptive_offered_;
+  std::vector<anycast::SiteAdvice> adaptive_advice_;
+  std::vector<std::size_t> adaptive_order_;
+  /// defense.advice counters by service and AdvisedAction, registered on
+  /// first use (telemetry on only).
+  std::vector<std::array<obs::Counter*, 4>> adaptive_advice_counters_;
   /// Reactive playbook controller (null when the scenario has none) and
   /// its per-step observation buffer (reused; indexed by site id).
   std::unique_ptr<playbook::PlaybookController> playbook_;

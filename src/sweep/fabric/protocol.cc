@@ -164,11 +164,9 @@ std::optional<Message> parse_message(std::string_view line) {
     if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
     const auto doc = obs::json_parse(rest);
     if (!doc.has_value()) return std::nullopt;
-    const obs::JsonValue* index = doc->find("index");
-    if (index == nullptr || index->kind() != obs::JsonValue::Kind::kNumber) {
+    if (!obs::read_integer(*doc, "index", &msg.result.index)) {
       return std::nullopt;
     }
-    msg.result.index = static_cast<std::size_t>(index->as_number());
     if (!read_u64_string(*doc, "key", &msg.result.key)) return std::nullopt;
     const obs::JsonValue* wall = doc->find("wall_ms");
     if (wall == nullptr || wall->kind() != obs::JsonValue::Kind::kNumber) {
@@ -184,12 +182,12 @@ std::optional<Message> parse_message(std::string_view line) {
                          &msg.result.timeline_digest)) {
       return std::nullopt;
     }
-    const obs::JsonValue* series = doc->find("timeline_series");
-    const obs::JsonValue* spans = doc->find("timeline_spans");
-    if (series == nullptr || spans == nullptr) return std::nullopt;
-    msg.result.timeline_series =
-        static_cast<std::size_t>(series->as_number());
-    msg.result.timeline_spans = static_cast<std::size_t>(spans->as_number());
+    if (!obs::read_integer(*doc, "timeline_series",
+                           &msg.result.timeline_series) ||
+        !obs::read_integer(*doc, "timeline_spans",
+                           &msg.result.timeline_spans)) {
+      return std::nullopt;
+    }
     const obs::JsonValue* summary = doc->find("summary");
     if (summary == nullptr) return std::nullopt;
     auto parsed = summary_from_json(*summary);

@@ -302,19 +302,7 @@ bool read_number(const obs::JsonValue& doc, const char* key, double* out) {
   return true;
 }
 
-/// Reads an integer field: the JSON number must be integral and inside
-/// T's range, anything else is a malformed entry. Both bounds are powers
-/// of two, so they and the final cast are exact.
-template <typename T>
-bool read_integer(const obs::JsonValue& doc, const char* key, T* out) {
-  double d = 0.0;
-  if (!read_number(doc, key, &d)) return false;
-  const double lo = static_cast<double>(std::numeric_limits<T>::min());
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(d >= lo && d < hi) || std::trunc(d) != d) return false;
-  *out = static_cast<T>(d);
-  return true;
-}
+using obs::read_integer;
 
 /// Inverse of fp(): accepts a plain number or one of the tagged strings
 /// "nan" / "inf" / "-inf".

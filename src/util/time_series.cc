@@ -23,14 +23,6 @@ std::size_t BinnedSeries::bin_of(std::int64_t t_ms) const noexcept {
   return idx < counts_.size() ? idx : npos;
 }
 
-void BinnedSeries::add(std::int64_t t_ms, double value) noexcept {
-  const std::size_t i = bin_of(t_ms);
-  if (i == npos) return;
-  ++counts_[i];
-  sums_[i] += value;
-  if (keep_samples_) samples_[i].push_back(value);
-}
-
 std::uint64_t BinnedSeries::count(std::size_t i) const noexcept {
   return i < counts_.size() ? counts_[i] : 0;
 }

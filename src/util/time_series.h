@@ -24,7 +24,19 @@ class BinnedSeries {
 
   /// Adds one observation of `value` at absolute time `t_ms`. Out-of-range
   /// times are ignored.
-  void add(std::int64_t t_ms, double value) noexcept;
+  void add(std::int64_t t_ms, double value) noexcept {
+    add_to_bin(bin_of(t_ms), value);
+  }
+
+  /// add() with the bin already resolved by bin_of() (npos is ignored):
+  /// series on one grid that take values for the same instant resolve
+  /// its bin once.
+  void add_to_bin(std::size_t i, double value) noexcept {
+    if (i >= counts_.size()) return;
+    ++counts_[i];
+    sums_[i] += value;
+    if (keep_samples_) samples_[i].push_back(value);
+  }
 
   /// Increments the count of the bin containing `t_ms` without storing a
   /// value (for pure event counting).

@@ -2,10 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
+
+#include "obs/profiler.h"
 
 namespace rootstress::anycast {
 namespace {
+
+/// The advice into fresh buffers.
+std::vector<SiteAdvice> advise(std::span<const double> capacity,
+                               std::span<const double> offered) {
+  std::vector<SiteAdvice> advice;
+  std::vector<std::size_t> order;
+  anycast::advise(capacity, offered, advice, order);
+  return advice;
+}
 
 TEST(Defense, QuietSitesNeedNothing) {
   const std::vector<double> capacity{100, 100, 100};
@@ -59,6 +71,33 @@ TEST(Defense, MismatchedSpansUseCommonLength) {
   const std::vector<double> capacity{100, 100};
   const std::vector<double> offered{50};
   EXPECT_EQ(advise(capacity, offered).size(), 1u);
+}
+
+TEST(Defense, AdviseIntoWarmBuffersAllocatesNothing) {
+  const std::vector<double> capacity{10, 50, 200, 40, 100, 50};
+  const std::vector<double> first{100, 90, 100, 100, 40, 50};
+  const std::vector<double> second{5, 400, 20, 100, 300, 10};
+  std::vector<SiteAdvice> advice;
+  std::vector<std::size_t> order;
+  anycast::advise(capacity, first, advice, order);  // sizes the buffers
+
+  const std::uint64_t before = obs::allocation_count();
+  anycast::advise(capacity, second, advice, order);
+  const std::uint64_t allocations = obs::allocation_count() - before;
+  if (before != 0) {  // 0: the allocation hook is not active in this binary
+    EXPECT_EQ(allocations, 0u);
+  }
+
+  // Whatever the first call left behind is overwritten: the warm advice
+  // is exactly the advice fresh buffers get.
+  const auto fresh = advise(capacity, second);
+  ASSERT_EQ(advice.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(advice[i].site_index, fresh[i].site_index) << i;
+    EXPECT_EQ(advice[i].action, fresh[i].action) << i;
+    EXPECT_EQ(advice[i].overload, fresh[i].overload) << i;
+    EXPECT_EQ(advice[i].rationale, fresh[i].rationale) << i;
+  }
 }
 
 TEST(Defense, ActionNames) {

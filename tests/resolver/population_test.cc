@@ -8,6 +8,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
+
+#include "obs/profiler.h"
 
 namespace rootstress::resolver {
 namespace {
@@ -49,6 +52,14 @@ TEST(Population, ValidateRejectsBrokenConfigs) {
   config = PopulationConfig{};
   config.demand_skew = -0.5;
   EXPECT_NE(validate_population(config), "");
+  // The cache's table costs 8 B per name per resolver: 512 KB at the
+  // bound, no further.
+  config = PopulationConfig{};
+  config.name_space = 65536;
+  EXPECT_EQ(validate_population(config), "");
+  config.name_space = 65537;
+  EXPECT_NE(validate_population(config).find("name space"),
+            std::string::npos);
 }
 
 TEST(Population, FingerprintExcludesTheDisplayName) {
@@ -61,6 +72,56 @@ TEST(Population, FingerprintExcludesTheDisplayName) {
   PopulationConfig c = small_config();
   c.cache_capacity = a.cache_capacity + 1;
   EXPECT_NE(population_fingerprint(a).dump(), population_fingerprint(c).dump());
+}
+
+// Only a cache that can evict depends on the eviction rule, so only such
+// profiles carry it in their cache key; every other profile keeps the
+// key it had before the rule was written down.
+TEST(Population, FingerprintNamesTheEvictionRuleOnlyWhenTheCacheCanEvict) {
+  const PopulationConfig fits;  // 500 names, capacity 1000
+  EXPECT_EQ(population_fingerprint(fits).dump(),
+            R"({"strategy":"srtt","resolvers":256,"root_lookups_per_hour":60,)"
+            R"("referral_ttl_ms":86400000,"name_space":500,"demand_skew":1,)"
+            R"("max_attempts":3,"per_try_timeout_ms":1500,"enable_cache":true,)"
+            R"("cache_capacity":1000})");
+
+  PopulationConfig evicting = fits;
+  evicting.name_space = 1001;
+  const obs::JsonValue doc = population_fingerprint(evicting);
+  const obs::JsonValue* rule = doc.find("eviction");
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->as_string(), "expiry-then-key");
+  PopulationConfig no_rule = evicting;
+  no_rule.name_space = 1000;  // fills exactly, never evicts
+  EXPECT_EQ(population_fingerprint(no_rule).find("eviction"), nullptr);
+}
+
+TEST(Population, StepAllocatesNothingAfterWarmup) {
+#ifdef ROOTSTRESS_NO_ALLOC_HOOK
+  GTEST_SKIP() << "allocation hook disabled at compile time";
+#else
+  if (obs::allocation_count() == 0) {
+    GTEST_SKIP() << "allocation hook not active in this binary";
+  }
+  ResolverPopulation pop(PopulationConfig{}, /*seed=*/5, net::SimTime(0),
+                         net::SimTime::from_hours(4),
+                         net::SimTime::from_seconds(60),
+                         net::SimTime::from_minutes(10));
+  util::ThreadPool pool(1);
+  // Half the letters fail: retries, failovers and failures all run.
+  std::array<double, kLetterCount> success = all(1.0);
+  for (std::size_t i = 0; i < success.size(); i += 2) success[i] = 0.0;
+  const auto step = [&](std::int64_t m) {
+    pop.step(net::SimTime::from_minutes(static_cast<double>(m)), success,
+             all(80.0), 1.0, pool);
+  };
+  for (std::int64_t m = 0; m < 60; ++m) step(m);  // warm-up
+  const std::uint64_t before = obs::allocation_count();
+  for (std::int64_t m = 60; m < 240; ++m) step(m);
+  EXPECT_EQ(obs::allocation_count() - before, 0u);
+  EXPECT_GT(pop.report().cache_hit_rate(), 0.0);
+  EXPECT_GT(pop.report().retries_per_query(), 0.0);
+#endif
 }
 
 TEST(Population, HealthyLettersMeanNearPerfectSuccess) {

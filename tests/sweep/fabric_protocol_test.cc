@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace rootstress::sweep::fabric {
 namespace {
 
@@ -37,6 +39,47 @@ RunSummary sample_summary() {
   b.median_rtt_event_ms = 1e-308;
   summary.letters.push_back(b);
   return summary;
+}
+
+WireResult sample_result() {
+  WireResult result;
+  result.index = 11;
+  result.key = 0xfeedfacecafebeefull;  // must survive as a u64, not a double
+  result.wall_ms = 1912.0625;
+  result.cache_hit = true;
+  result.timeline_digest = 0x8000000000000001ull;
+  result.timeline_series = 42;
+  result.timeline_spans = 7;
+  result.summary = sample_summary();
+  return result;
+}
+
+/// Replaces the value of the first `"key":` member in a JSON line, or
+/// drops the member when `value` is null.
+std::string with_field(std::string text, const std::string& key,
+                       const char* value) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = text.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no field " << key;
+    return text;
+  }
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = text.find_first_of(",}", begin);
+  if (value == nullptr) return text.erase(at, end + 1 - at);
+  return text.replace(begin, end - begin, value);
+}
+
+void expect_same(const WireResult& a, const WireResult& b,
+                 const std::string& line) {
+  EXPECT_EQ(a.index, b.index) << line;
+  EXPECT_EQ(a.key, b.key) << line;
+  EXPECT_EQ(a.wall_ms, b.wall_ms) << line;
+  EXPECT_EQ(a.cache_hit, b.cache_hit) << line;
+  EXPECT_EQ(a.timeline_digest, b.timeline_digest) << line;
+  EXPECT_EQ(a.timeline_series, b.timeline_series) << line;
+  EXPECT_EQ(a.timeline_spans, b.timeline_spans) << line;
+  EXPECT_TRUE(a.summary == b.summary) << line;
 }
 
 TEST(FabricProtocol, HelloRoundTrips) {
@@ -83,16 +126,7 @@ TEST(FabricProtocol, ErrorFoldsNewlinesIntoOneLine) {
 }
 
 TEST(FabricProtocol, ResultRoundTripsBitExactly) {
-  WireResult original;
-  original.index = 11;
-  original.key = 0xfeedfacecafebeefull;  // must survive as a u64, not a double
-  original.wall_ms = 1912.0625;
-  original.cache_hit = true;
-  original.timeline_digest = 0x8000000000000001ull;
-  original.timeline_series = 42;
-  original.timeline_spans = 7;
-  original.summary = sample_summary();
-
+  const WireResult original = sample_result();
   const std::string line = encode_result(original);
   EXPECT_EQ(line.find('\n'), std::string::npos) << "framing must be one line";
   const auto msg = parse_message(line);
@@ -141,6 +175,45 @@ TEST(FabricProtocol, MalformedLinesAreRejectedNotFatal) {
   EXPECT_FALSE(
       parse_message("RESULT {\"index\": 1, \"key\": 123, \"wall_ms\": 1.0}")
           .has_value());
+}
+
+// The integer fields of a RESULT were cast from double unchecked: -1 or
+// 1e300 was undefined behaviour, 1.5 silently named cell 1, and a string
+// where a count belongs read as 0.
+TEST(FabricProtocol, RejectsOutOfRangeResultFields) {
+  const std::string valid = encode_result(sample_result());
+  ASSERT_TRUE(parse_message(valid).has_value());
+  // The edit itself is sound: an in-range replacement still parses.
+  const auto edited = parse_message(with_field(valid, "index", "3"));
+  ASSERT_TRUE(edited.has_value());
+  EXPECT_EQ(edited->result.index, 3u);
+
+  for (const char* key : {"index", "timeline_series", "timeline_spans"}) {
+    for (const char* value : {"-1", "1.5", "1e300", "\"7\"", "null"}) {
+      EXPECT_FALSE(parse_message(with_field(valid, key, value)).has_value())
+          << key << "=" << value;
+    }
+    EXPECT_FALSE(parse_message(with_field(valid, key, nullptr)).has_value())
+        << key << " missing";
+  }
+}
+
+TEST(FabricProtocol, MutatedResultLinesAreRejectedOrRoundTrip) {
+  const std::string line = encode_result(sample_result());
+  util::Rng rng(23);
+  int accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string copy = line;
+    copy[rng.below(copy.size())] = static_cast<char>(rng.below(256));
+    const auto parsed = parse_message(copy);
+    if (!parsed.has_value()) continue;
+    ++accepted;
+    ASSERT_EQ(parsed->kind, MessageKind::kResult) << copy;
+    const auto again = parse_message(encode_result(parsed->result));
+    ASSERT_TRUE(again.has_value()) << copy;
+    expect_same(again->result, parsed->result, copy);
+  }
+  EXPECT_GT(accepted, 0);  // digit-for-digit swaps stay valid
 }
 
 TEST(FabricLineChannel, FramesLinesAcrossPartialWrites) {
