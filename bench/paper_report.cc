@@ -594,9 +594,7 @@ void fig11(const EvaluationReport& report, bool csv) {
   atlas::LetterBins grid(static_cast<int>(result.vps.size()),
                          result.probe_window.begin, strip_bin, bins);
   const int k = result.service_index('K');
-  for (const auto& record : result.records) {
-    if (record.letter_index == k) grid.add(record);
-  }
+  for (const auto& record : result.records.letter(k)) grid.add(record);
 
   std::map<int, char> chars;
   std::vector<int> starts;
@@ -982,11 +980,8 @@ void event_2016(const EvaluationReport& report, bool csv) {
     // RTT CDF shift: quiet vs. event window samples.
     std::vector<double> quiet, stressed;
     const int s = result.service_index(summary.letter);
-    for (const auto& record : result.records) {
-      if (record.letter_index != s ||
-          record.outcome != atlas::ProbeOutcome::kSite) {
-        continue;
-      }
+    for (const auto& record : result.records.letter(s)) {
+      if (record.outcome != atlas::ProbeOutcome::kSite) continue;
       (attack::kEvent2016.contains(record.time()) ? stressed : quiet)
           .push_back(static_cast<double>(record.rtt_ms));
     }

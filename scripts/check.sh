@@ -7,7 +7,11 @@
 #      so this runs every engine test on both paths. Then the paper's
 #      Table 1 (paper_report table1): its six key observations re-verified
 #      against one full replay; any FAIL row exits non-zero.
-#   2. Bit-identity gate: the benchmark's replay and campaign workloads at
+#   2. Tier-1 build with -Werror: the default configuration, what a
+#      plain `cmake -B build -S .` builds (RelWithDebInfo, -O2 -g). Its
+#      optimizer inlines differently from -O3 and -O0, so it can warn
+#      where the other lanes do not.
+#   3. Bit-identity gate: the benchmark's replay and campaign workloads at
 #      seed 1 (perfbench/run.py, its own Release build), untraced and
 #      traced (--trace 1), must report zero failed output checks — their
 #      digests must equal the references pinned in perfbench, so a change
@@ -16,45 +20,45 @@
 #      evaluate_scenario agreement, 1-worker vs 2-worker campaign
 #      digests, and every cell re-run standalone against its campaign
 #      summary.
-#   3. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
+#   4. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
 #      then warm, asserting the warm pass executes ZERO engine runs (the
 #      content-addressed cache contract).
-#   4. Playbook gate: the reactive-controller integration tests on both
+#   5. Playbook gate: the reactive-controller integration tests on both
 #      engine paths (ROOTSTRESS_THREADS=1 and 4), then the playbook_duel
 #      example, which exits non-zero unless the withdraw plan changes the
 #      answered fraction, threads 1 and 4 agree bit-for-bit, and the
 #      playbook campaign axis caches three distinct digests.
-#   5. Fault gate: the fault-layer integration tests on both engine
+#   6. Fault gate: the fault-layer integration tests on both engine
 #      paths, then the pulse_duel example at ROOTSTRESS_THREADS=1 and 4
 #      — it exits non-zero unless the pulse wave damages the absorb
 #      baseline, fault-laden runs are thread-count invariant, the patient
 #      plan out-oscillates nothing, and the fault-schedule campaign axis
 #      caches four distinct digests cold then serves them all warm.
-#   6. Observability gate: bench_ab obs (full telemetry incl. the flight
+#   7. Observability gate: bench_ab obs (full telemetry incl. the flight
 #      recorder against a dark run on the June 2016 scenario: the median
 #      of 7 interleaved pairs' time ratios must stay within 1.05, writing
 #      BENCH_obs.json), and the first pulse_duel pass re-run with
 #      ROOTSTRESS_PERFETTO set — the exported Chrome-trace document must
 #      be valid JSON with a traceEvents array.
-#   7. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
+#   8. Scale gate: bench_scale's smoke sizes — the churn-heavy 10^4-AS
 #      cell must show incremental BGP >= 5x faster than full recompute
 #      with bit-identical RouteChange/catchment output, plus records/sec
 #      at three growing populations (ROOTSTRESS_SCALE_FULL=1 runs the
 #      full population ladder instead), writing BENCH_scale.json.
-#   8. Distributed gate: bench_distributed (subprocess fabric digests at
+#   9. Distributed gate: bench_distributed (subprocess fabric digests at
 #      1 and 4 workers must be bit-identical to in-process, a killed
 #      worker's cells must be re-leased to completion, coordination
 #      overhead bounded; writes BENCH_distributed.json), then the smoke
 #      campaign re-run on the fabric — cold on 2 workers must execute
 #      all 4 cells through the subprocess executor and a warm pass must
 #      serve every cell from the cache the workers populated.
-#   9. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
+#  10. Netio gate: a wirestress --duel --quick loopback smoke (real UDP
 #      packets through the generator and server-under-test), then
 #      bench_netio — batched-send throughput must clear the 50k q/s bar
 #      on loopback AND the measured answered fraction under a 2x capacity
 #      overload must agree with the fluid simulator's prediction within
 #      10% (writes BENCH_netio.json).
-#  10. End-user gate: the resolver-population integration tests on both
+#  11. End-user gate: the resolver-population integration tests on both
 #      engine paths, then the enduser_duel example at ROOTSTRESS_THREADS=1
 #      (with ROOTSTRESS_DATASET set — every exported line must be valid
 #      JSON with the attack/legit labels present) and 4 — it exits
@@ -65,7 +69,7 @@
 #      population on over off, must stay within 1.05, and every
 #      server-side series must stay bit-identical, writing
 #      BENCH_enduser.json).
-#  11. Debug build with ThreadSanitizer and -Werror, running the
+#  12. Debug build with ThreadSanitizer and -Werror, running the
 #      thread-pool unit tests, the parallel-determinism integration test
 #      (its 4-thread run also exercises the per-probe wire cross-check:
 #      debug builds re-run every answered probe's CHAOS reply through
@@ -78,13 +82,14 @@
 #      tests (sharded stepping races), and the netio
 #      socket/server/generator tests (real threads + real sockets) under
 #      TSan.
-#  12. Debug build with AddressSanitizer and UndefinedBehaviorSanitizer
+#  13. Debug build with AddressSanitizer and UndefinedBehaviorSanitizer
 #      (float-cast-overflow named explicitly: GCC's -fsanitize=undefined
 #      leaves it out), any report fatal, and -Werror, running the whole
 #      test suite.
 #
 # Usage: scripts/check.sh  (from the repo root; build trees land in
-# build/check-release, build/check-tsan and build/check-asan).
+# build/check-release, build/check-tier1, build/check-tsan and
+# build/check-asan).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,6 +97,11 @@ echo "=== Release build ==="
 cmake -B build/check-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build/check-release -j
+
+echo "=== Tier-1 build (RelWithDebInfo, -O2 -g) with -Werror ==="
+cmake -B build/check-tier1 -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-Werror
+cmake --build build/check-tier1 -j
 
 echo "=== Test suite, serial (ROOTSTRESS_THREADS=1) ==="
 (cd build/check-release && ROOTSTRESS_THREADS=1 ctest --output-on-failure -j)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/rtt.h"
 #include "util/stats.h"
 
 namespace rootstress::analysis {
@@ -23,8 +22,13 @@ std::vector<SiteBehaviorReport> classify_sites(
     const sim::SimulationResult& result, char letter,
     const std::vector<std::size_t>& event_bins,
     const BehaviorThresholds& thresholds) {
-  const int service = result.service_index(letter);
+  const auto letter_records = records.letter(result.service_index(letter));
+  std::vector<bool> is_event_bin(bins.bin_count(), false);
+  for (const std::size_t b : event_bins) {
+    if (b < is_event_bin.size()) is_event_bin[b] = true;
+  }
   std::vector<SiteBehaviorReport> reports;
+  std::vector<std::uint16_t> quiet_rtt, event_rtt;
 
   for (const int site_id : result.sites_of(letter)) {
     SiteBehaviorReport report;
@@ -62,25 +66,19 @@ std::vector<SiteBehaviorReport> classify_sites(
             thresholds.withdrew_sustain;
 
     // RTT evidence from records: quiet vs. event medians at this site.
-    RttFilter filter;
-    filter.service_index = service;
-    filter.site_id = site_id;
-    std::vector<double> quiet_rtt, event_rtt;
-    for (const auto& record : records) {
-      if (record.letter_index != service ||
-          record.outcome != atlas::ProbeOutcome::kSite ||
+    quiet_rtt.clear();
+    event_rtt.clear();
+    for (const auto& record : letter_records) {
+      if (record.outcome != atlas::ProbeOutcome::kSite ||
           record.site_id != site_id) {
         continue;
       }
       const std::size_t b = bins.bin_of(record.time());
-      const bool in_event =
-          std::find(event_bins.begin(), event_bins.end(), b) !=
-          event_bins.end();
-      (in_event ? event_rtt : quiet_rtt)
-          .push_back(static_cast<double>(record.rtt_ms));
+      const bool in_event = b < is_event_bin.size() && is_event_bin[b];
+      (in_event ? event_rtt : quiet_rtt).push_back(record.rtt_ms);
     }
-    report.rtt_quiet_ms = util::median(quiet_rtt);
-    report.rtt_event_ms = util::median(event_rtt);
+    report.rtt_quiet_ms = util::percentile_in_place(quiet_rtt, 50.0);
+    report.rtt_event_ms = util::percentile_in_place(event_rtt, 50.0);
 
     // Decision ladder, most specific first. A sustained collapse reads
     // as withdrawal even when a handful of slow replies survive (that is

@@ -34,9 +34,8 @@ ProximitySample proximity_inflation(const sim::SimulationResult& result,
   };
 
   int optimal = 0;
-  for (const auto& record : result.records) {
-    if (record.letter_index != service ||
-        record.outcome != atlas::ProbeOutcome::kSite || record.site_id < 0) {
+  for (const auto& record : result.records.letter(service)) {
+    if (record.outcome != atlas::ProbeOutcome::kSite || record.site_id < 0) {
       continue;
     }
     const net::SimTime t = record.time();

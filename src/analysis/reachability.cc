@@ -1,7 +1,7 @@
 #include "analysis/reachability.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bitset>
 
 namespace rootstress::analysis {
 
@@ -30,14 +30,14 @@ LetterReachability reachability_series(const atlas::LetterBins& bins,
 }
 
 int observed_site_count(const atlas::RecordSet& records, int service_index) {
-  std::unordered_set<int> sites;
-  for (const auto& record : records) {
-    if (record.letter_index == service_index &&
-        record.outcome == atlas::ProbeOutcome::kSite && record.site_id >= 0) {
-      sites.insert(record.site_id);
+  // Site ids are non-negative int16s: a dense seen-table covers them all.
+  std::bitset<std::size_t{1} << 15> seen;
+  for (const auto& record : records.letter(service_index)) {
+    if (record.outcome == atlas::ProbeOutcome::kSite && record.site_id >= 0) {
+      seen.set(static_cast<std::size_t>(record.site_id));
     }
   }
-  return static_cast<int>(sites.size());
+  return static_cast<int>(seen.count());
 }
 
 std::pair<int, std::size_t> min_in_range(const std::vector<int>& series,

@@ -10,6 +10,8 @@
 namespace rootstress::analysis {
 
 /// Selects which records contribute to an RTT series. -1/0 = no filter.
+/// With a service_index the analyses read only that letter's records
+/// (RecordSet::letter); without one they read the whole store.
 struct RttFilter {
   int service_index = -1;
   int site_id = -1;

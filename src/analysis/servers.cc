@@ -1,6 +1,9 @@
 #include "analysis/servers.h"
 
-#include "util/time_series.h"
+#include <stdexcept>
+#include <string>
+
+#include "util/stats.h"
 
 namespace rootstress::analysis {
 
@@ -9,16 +12,25 @@ std::vector<ServerSeries> server_breakdown(const atlas::RecordSet& records,
                                            int site_id, net::SimTime start,
                                            net::SimTime width,
                                            std::size_t bins) {
-  const int servers =
-      result.sites[static_cast<std::size_t>(site_id)].servers;
-  std::vector<util::BinnedSeries> rtt;
-  rtt.reserve(static_cast<std::size_t>(servers));
-  std::vector<std::vector<int>> replies(
-      static_cast<std::size_t>(servers), std::vector<int>(bins, 0));
-  for (int s = 0; s < servers; ++s) {
-    rtt.emplace_back(start.ms, width.ms, bins, /*keep_samples=*/true);
+  if (site_id < 0 || static_cast<std::size_t>(site_id) >= result.sites.size()) {
+    throw std::out_of_range("server_breakdown: no site " +
+                            std::to_string(site_id));
   }
-  for (const auto& record : records) {
+  if (width.ms <= 0 || bins == 0) {
+    throw std::invalid_argument("server_breakdown needs positive bins");
+  }
+  const sim::SiteMeta& site = result.sites[static_cast<std::size_t>(site_id)];
+  const int servers = site.servers;
+  std::vector<ServerSeries> out(static_cast<std::size_t>(servers));
+  for (int s = 0; s < servers; ++s) {
+    out[static_cast<std::size_t>(s)].server = s + 1;
+    out[static_cast<std::size_t>(s)].replies_per_bin.assign(bins, 0);
+  }
+  // RTT samples keyed by (server, bin), selected per key at the end.
+  std::vector<std::size_t> keys;
+  std::vector<std::uint16_t> rtts;
+  for (const auto& record :
+       records.letter(result.service_index(site.letter))) {
     if (record.outcome != atlas::ProbeOutcome::kSite ||
         record.site_id != site_id || record.server < 1 ||
         record.server > servers) {
@@ -28,22 +40,17 @@ std::vector<ServerSeries> server_breakdown(const atlas::RecordSet& records,
     if (offset < 0) continue;
     const auto bin = static_cast<std::size_t>(offset / width.ms);
     if (bin >= bins) continue;
-    ++replies[static_cast<std::size_t>(record.server - 1)][bin];
-    rtt[static_cast<std::size_t>(record.server - 1)].add(
-        record.time().ms, static_cast<double>(record.rtt_ms));
+    const auto server = static_cast<std::size_t>(record.server - 1);
+    ++out[server].replies_per_bin[bin];
+    keys.push_back(server * bins + bin);
+    rtts.push_back(record.rtt_ms);
   }
-  std::vector<ServerSeries> out;
-  out.reserve(static_cast<std::size_t>(servers));
-  for (int s = 0; s < servers; ++s) {
-    ServerSeries series;
-    series.server = s + 1;
-    series.replies_per_bin = std::move(replies[static_cast<std::size_t>(s)]);
-    series.median_rtt_per_bin.reserve(bins);
-    for (std::size_t b = 0; b < bins; ++b) {
-      series.median_rtt_per_bin.push_back(
-          rtt[static_cast<std::size_t>(s)].median(b));
-    }
-    out.push_back(std::move(series));
+  const std::vector<double> medians = util::group_medians(
+      keys, rtts, static_cast<std::size_t>(servers) * bins);
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    const auto first = medians.begin() + static_cast<std::ptrdiff_t>(s * bins);
+    out[s].median_rtt_per_bin.assign(
+        first, first + static_cast<std::ptrdiff_t>(bins));
   }
   return out;
 }

@@ -17,7 +17,9 @@ struct ServerSeries {
 };
 
 /// Reachability and RTT per server of `site_id`, over `bins` x `width`
-/// bins starting at `start`.
+/// bins starting at `start`. Reads only the records of the site's letter.
+/// Throws std::out_of_range when `site_id` is not an index into
+/// `result.sites`.
 std::vector<ServerSeries> server_breakdown(const atlas::RecordSet& records,
                                            const sim::SimulationResult& result,
                                            int site_id, net::SimTime start,

@@ -38,21 +38,16 @@ std::vector<bool> select_vps(const std::vector<VantagePoint>& vps,
   return keep;
 }
 
-RecordSet filter_records(const RecordSet& records,
-                         const std::vector<bool>& keep_vp,
-                         CleaningStats* stats) {
-  RecordSet kept;
-  kept.reserve(records.size());
-  for (const auto& record : records) {
-    if (record.vp < keep_vp.size() && keep_vp[record.vp]) {
-      kept.push_back(record);
-    }
-  }
+void filter_records(RecordSet& records, const std::vector<bool>& keep_vp,
+                    CleaningStats* stats) {
+  const std::size_t total = records.size();
+  records.retain([&](const ProbeRecord& record) {
+    return record.vp < keep_vp.size() && keep_vp[record.vp];
+  });
   if (stats != nullptr) {
-    stats->total_records = records.size();
-    stats->kept_records = kept.size();
+    stats->total_records = total;
+    stats->kept_records = records.size();
   }
-  return kept;
 }
 
 }  // namespace rootstress::atlas

@@ -463,8 +463,14 @@ SimulationResult SimulationEngine::run() {
   {
     // Data cleaning (§2.4.1): firmware + hijack rules.
     obs::PhaseProfiler::Scope cleaning_phase(prof, "cleaning");
+    // The raw store is compacted in place and becomes the result's: no
+    // second copy of the kept records is ever alive.
     const auto keep = atlas::select_vps(vps_, raw, &result.cleaning);
-    result.records = atlas::filter_records(raw, keep, &result.cleaning);
+    atlas::filter_records(raw, keep, &result.cleaning);
+#ifndef NDEBUG
+    raw.verify_index();
+#endif
+    result.records = std::move(raw);
   }
 
   if (collector_) {
@@ -1018,9 +1024,7 @@ void SimulationEngine::run_probes(net::SimTime step_begin,
   // VP ranges and each appends in (VP, time) order, so concatenating them
   // in shard order reproduces the serial (service, VP, time) record
   // stream exactly.
-  for (const ProbeShard& shard : probe_shards_) {
-    raw.insert(raw.end(), shard.records.begin(), shard.records.end());
-  }
+  for (const ProbeShard& shard : probe_shards_) raw.append(shard.records);
 }
 
 void SimulationEngine::build_reply_table() {
@@ -1084,7 +1088,8 @@ SimulationEngine::ReplyFields SimulationEngine::chaos_reply_fields(
 void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
                                   VpProbeState& state, int service_index,
                                   const std::vector<bgp::RouteChoice>& routes,
-                                  net::SimTime when, atlas::RecordSet& out) {
+                                  net::SimTime when,
+                                  std::vector<atlas::ProbeRecord>& out) {
   // Every random draw for this probe comes from its own stream keyed on
   // (seed, service, VP, time): probe outcomes are a pure function of the
   // schedule, independent of thread count and execution order.

@@ -181,8 +181,9 @@ class SimulationEngine : private playbook::ActuationBackend {
     bool scheduled = false;
     /// Indexed by VP - vp_begin.
     std::vector<VpProbeState> vps;
-    /// This step's records, reused across steps (capacity kept).
-    atlas::RecordSet records;
+    /// This step's records, reused across steps (capacity kept); merged
+    /// into the run's RecordSet after the barrier.
+    std::vector<atlas::ProbeRecord> records;
   };
 
   /// The inputs a service's load buffer was last computed from: its
@@ -262,7 +263,7 @@ class SimulationEngine : private playbook::ActuationBackend {
   void probe_once(const atlas::VantagePoint& vp, VpProbeState& state,
                   int service_index,
                   const std::vector<bgp::RouteChoice>& routes,
-                  net::SimTime when, atlas::RecordSet& out);
+                  net::SimTime when, std::vector<atlas::ProbeRecord>& out);
   /// Builds chaos_query_, site_by_identity_ and the reply table (run(),
   /// records on only).
   void build_reply_table();

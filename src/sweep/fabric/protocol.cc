@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 
@@ -81,9 +82,9 @@ std::string to_string(MessageKind kind) {
   return "?";
 }
 
-std::string encode_hello(int pid) {
+std::string encode_hello(int pid, int version) {
   return std::string(kHelloTag) + " " + std::to_string(pid) + " " +
-         std::to_string(kProtocolVersion);
+         std::to_string(version);
 }
 
 std::string encode_lease(std::size_t index) {
@@ -125,6 +126,9 @@ std::string encode_error(std::size_t index, std::string_view what) {
 }
 
 std::optional<Message> parse_message(std::string_view line) {
+  // The framing splits on '\n', so no real line holds one; the encoders
+  // never write one either (encode_error folds them away).
+  if (line.find('\n') != std::string_view::npos) return std::nullopt;
   std::string_view rest = line;
   const std::string_view tag = next_token(rest);
   Message msg;
@@ -134,9 +138,15 @@ std::optional<Message> parse_message(std::string_view line) {
   }
   if (tag == kHelloTag) {
     msg.kind = MessageKind::kHello;
+    // Both fields are ints: a value past INT_MAX would wrap negative and
+    // re-encode to a line no peer parses.
     unsigned pid = 0, version = 0;
-    if (!parse_unsigned(next_token(rest), &pid)) return std::nullopt;
-    if (!parse_unsigned(next_token(rest), &version)) return std::nullopt;
+    if (!parse_unsigned(next_token(rest), &pid) || pid > INT_MAX) {
+      return std::nullopt;
+    }
+    if (!parse_unsigned(next_token(rest), &version) || version > INT_MAX) {
+      return std::nullopt;
+    }
     msg.pid = static_cast<int>(pid);
     msg.version = static_cast<int>(version);
     return msg;

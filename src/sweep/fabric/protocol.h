@@ -79,7 +79,8 @@ struct Message {
   WireResult result;         ///< kResult
 };
 
-std::string encode_hello(int pid);
+/// `version` is this build's unless a test speaks for another peer.
+std::string encode_hello(int pid, int version = kProtocolVersion);
 std::string encode_lease(std::size_t index);
 std::string encode_ack(std::size_t index);
 std::string encode_shutdown();
@@ -88,7 +89,8 @@ std::string encode_result(const WireResult& result);
 std::string encode_error(std::size_t index, std::string_view what);
 
 /// Parses one line (without its trailing '\n'); nullopt on anything
-/// malformed — the peer skips garbage rather than dying on it.
+/// malformed, including an embedded '\n' or a HELLO field past INT_MAX —
+/// the peer skips garbage rather than dying on it.
 std::optional<Message> parse_message(std::string_view line);
 
 /// Buffered line framing over one socket fd. Reads accumulate into an

@@ -32,9 +32,13 @@ double median(std::span<const double> xs) {
   return percentile(xs, 50.0);
 }
 
-double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
+namespace {
+
+/// The one copy of the percentile rule: rank p/100 * (n-1), the order
+/// statistics at floor(rank) and the next one up, linearly interpolated.
+template <typename T>
+double select_percentile(std::span<T> v, double p) {
+  if (v.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
@@ -44,9 +48,44 @@ double percentile(std::span<const double> xs, double p) {
   // sort would put at lo and lo+1, so the result is bit-identical.
   const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
   std::nth_element(v.begin(), nth, v.end());
-  const double upper = lo + 1 < v.size() ? *std::min_element(nth + 1, v.end())
-                                         : *nth;
-  return *nth * (1.0 - frac) + upper * frac;
+  const double at = static_cast<double>(*nth);
+  const double upper =
+      lo + 1 < v.size()
+          ? static_cast<double>(*std::min_element(nth + 1, v.end()))
+          : at;
+  return at * (1.0 - frac) + upper * frac;
+}
+
+}  // namespace
+
+double percentile(std::span<const double> xs, double p) {
+  std::vector<double> v(xs.begin(), xs.end());
+  return select_percentile<double>(v, p);
+}
+
+double percentile_in_place(std::span<std::uint16_t> xs, double p) {
+  return select_percentile(xs, p);
+}
+
+std::vector<double> group_medians(std::span<const std::size_t> keys,
+                                  std::span<const std::uint16_t> values,
+                                  std::size_t groups) {
+  // offset[g] .. offset[g + 1] is group g's slice of `flat`.
+  std::vector<std::size_t> offset(groups + 1, 0);
+  for (const std::size_t key : keys) ++offset[key + 1];
+  for (std::size_t g = 0; g < groups; ++g) offset[g + 1] += offset[g];
+  std::vector<std::uint16_t> flat(values.size());
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    flat[fill[keys[i]]++] = values[i];
+  }
+  std::vector<double> medians(groups, 0.0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::span<std::uint16_t> group(flat.data() + offset[g],
+                                         offset[g + 1] - offset[g]);
+    medians[g] = select_percentile(group, 50.0);
+  }
+  return medians;
 }
 
 double min_of(std::span<const double> xs) noexcept {

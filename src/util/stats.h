@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,6 +26,21 @@ double median(std::span<const double> xs);
 
 /// Linear-interpolated percentile, p in [0, 100]; 0 if empty.
 double percentile(std::span<const double> xs, double p);
+
+/// percentile() over values it may reorder, so nothing is copied. It
+/// picks the same order statistics and interpolates them the same way,
+/// so the result is bit-identical to percentile() over the values as
+/// doubles. RTT records carry 16-bit milliseconds; selecting on those
+/// moves a quarter of the bytes.
+double percentile_in_place(std::span<std::uint16_t> xs, double p);
+
+/// The median of each group of `values`, where values[i] belongs to
+/// group keys[i] (every key < `groups`); 0 for an empty group. One
+/// counting pass sizes each group's slice of a single flat buffer, a
+/// scatter fills it, and each slice is selected in place.
+std::vector<double> group_medians(std::span<const std::size_t> keys,
+                                  std::span<const std::uint16_t> values,
+                                  std::size_t groups);
 
 /// Minimum / maximum; 0 for an empty input.
 double min_of(std::span<const double> xs) noexcept;

@@ -2,19 +2,16 @@
 
 #include <stdexcept>
 
-#include "util/stats.h"
-
 namespace rootstress::util {
 
 BinnedSeries::BinnedSeries(std::int64_t start_ms, std::int64_t bin_ms,
-                           std::size_t bins, bool keep_samples)
-    : start_ms_(start_ms), bin_ms_(bin_ms), keep_samples_(keep_samples) {
+                           std::size_t bins)
+    : start_ms_(start_ms), bin_ms_(bin_ms) {
   if (bin_ms <= 0 || bins == 0) {
     throw std::invalid_argument("BinnedSeries needs positive bin width/count");
   }
   counts_.assign(bins, 0);
   sums_.assign(bins, 0.0);
-  if (keep_samples_) samples_.resize(bins);
 }
 
 std::size_t BinnedSeries::bin_of(std::int64_t t_ms) const noexcept {
@@ -34,16 +31,6 @@ double BinnedSeries::sum(std::size_t i) const noexcept {
 double BinnedSeries::mean(std::size_t i) const noexcept {
   if (i >= counts_.size() || counts_[i] == 0) return 0.0;
   return sums_[i] / static_cast<double>(counts_[i]);
-}
-
-double BinnedSeries::median(std::size_t i) const {
-  if (!keep_samples_ || i >= samples_.size() || samples_[i].empty()) return 0.0;
-  return util::median(samples_[i]);
-}
-
-std::span<const double> BinnedSeries::samples(std::size_t i) const noexcept {
-  if (!keep_samples_ || i >= samples_.size()) return {};
-  return samples_[i];
 }
 
 std::vector<double> BinnedSeries::counts_as_doubles() const {

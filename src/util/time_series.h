@@ -6,21 +6,18 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace rootstress::util {
 
 /// A series of fixed-width time bins starting at `start` (milliseconds).
 /// Observations are accumulated into bins; per-bin reductions (count, sum,
-/// median of stored samples) are computed on demand.
+/// mean) are computed on demand.
 class BinnedSeries {
  public:
   /// Creates `bins` bins of `bin_ms` milliseconds each starting at
-  /// `start_ms`. When `keep_samples` is true every added value is retained
-  /// so medians/percentiles per bin can be computed (costs memory).
-  BinnedSeries(std::int64_t start_ms, std::int64_t bin_ms, std::size_t bins,
-               bool keep_samples = false);
+  /// `start_ms`.
+  BinnedSeries(std::int64_t start_ms, std::int64_t bin_ms, std::size_t bins);
 
   /// Adds one observation of `value` at absolute time `t_ms`. Out-of-range
   /// times are ignored.
@@ -35,7 +32,6 @@ class BinnedSeries {
     if (i >= counts_.size()) return;
     ++counts_[i];
     sums_[i] += value;
-    if (keep_samples_) samples_[i].push_back(value);
   }
 
   /// Increments the count of the bin containing `t_ms` without storing a
@@ -61,10 +57,6 @@ class BinnedSeries {
   double sum(std::size_t i) const noexcept;
   /// Mean of observed values in bin `i`; 0 if empty.
   double mean(std::size_t i) const noexcept;
-  /// Median of stored samples in bin `i`; requires keep_samples; 0 if empty.
-  double median(std::size_t i) const;
-  /// Stored samples of bin `i` (empty unless keep_samples).
-  std::span<const double> samples(std::size_t i) const noexcept;
 
   /// All per-bin counts as doubles (convenient for stats helpers).
   std::vector<double> counts_as_doubles() const;
@@ -74,8 +66,6 @@ class BinnedSeries {
   std::int64_t bin_ms_;
   std::vector<std::uint64_t> counts_;
   std::vector<double> sums_;
-  bool keep_samples_;
-  std::vector<std::vector<double>> samples_;
 };
 
 }  // namespace rootstress::util

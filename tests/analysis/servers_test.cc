@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace rootstress::analysis {
 namespace {
 
@@ -14,6 +16,7 @@ sim::SimulationResult result_with_site() {
   meta.label = "K-FRA";
   meta.servers = 3;
   result.sites.push_back(meta);
+  result.letter_chars = {'K'};  // K is service 0, as the records say
   return result;
 }
 
@@ -58,6 +61,36 @@ TEST(Servers, IgnoresOtherSitesAndBadServerIds) {
   for (const auto& s : servers) {
     EXPECT_EQ(s.replies_per_bin[0], 0);
   }
+}
+
+// The site id indexes result.sites: one outside it is rejected, not read.
+TEST(Servers, RejectsSiteIdsOutsideTheResult) {
+  const auto result = result_with_site();
+  atlas::RecordSet records;
+  records.push_back(rec(10, 1, 20));
+  for (const int site : {-1, 1, 1000}) {
+    EXPECT_THROW(server_breakdown(records, result, site, net::SimTime(0),
+                                  net::SimTime::from_minutes(10), 1),
+                 std::out_of_range)
+        << "site " << site;
+  }
+}
+
+// Records of another letter carrying the site's id are not the site's:
+// the breakdown reads only the records of the site's letter.
+TEST(Servers, ReadsOnlyTheSitesLetter) {
+  auto result = result_with_site();
+  result.letter_chars = {'J', 'K'};  // K is service 1 now
+  atlas::RecordSet records;
+  records.push_back(rec(10, 1, 20));  // letter 0 = J
+  auto own = rec(20, 1, 60);
+  own.letter_index = 1;
+  records.push_back(own);
+  const auto servers = server_breakdown(records, result, 0, net::SimTime(0),
+                                        net::SimTime::from_minutes(10), 1);
+  ASSERT_EQ(servers.size(), 3u);
+  EXPECT_EQ(servers[0].replies_per_bin[0], 1);
+  EXPECT_DOUBLE_EQ(servers[0].median_rtt_per_bin[0], 60.0);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "netio/arena.h"
 #include "netio/server.h"
 #include "netio/socket.h"
+#include "util/rng.h"
 
 namespace rootstress::netio {
 namespace {
@@ -256,6 +257,54 @@ TEST(WireServer, UncachedModeStillAnswers) {
   EXPECT_EQ(response->header.id, 7);
   EXPECT_EQ(server.stats().cache_misses.load(), 0u);
   EXPECT_EQ(server.stats().cache_hits.load(), 0u);
+}
+
+// Mutants of the 2015 attack query shape (EDNS with an ECS option)
+// through the fixed-clock path, with RRL and the capacity gate both
+// live: every reply is a response carrying the mutant's id, and every
+// packet lands in exactly one outcome counter.
+TEST(WireServer, MutatedEcsQueriesAreAnsweredOrCountedNeverCrash) {
+  WireServerConfig config;
+  config.rrl.enabled = true;
+  config.rrl.responses_per_second = 50.0;
+  config.rrl.burst = 20.0;
+  config.rrl.slip = 2;
+  config.capacity_qps = 1000.0;
+  config.queue_burst = 8.0;
+  WireServer server(config);
+  const dns::ClientSubnet ecs{net::Ipv4Addr(198, 51, 100, 0), 24, 0};
+  const auto wire =
+      dns::encode(make_query(0x5a5a, "www.336901.com", true, ecs));
+  util::Rng rng(336901);
+  std::array<std::uint8_t, kMaxPacketBytes> out{};
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto copy = wire;
+    copy[rng.below(copy.size())] = static_cast<std::uint8_t>(rng.below(256));
+    if (trial % 8 == 0) copy.resize(rng.below(copy.size()));
+    // 4 packets per 3 ms against a 1000 q/s gate: some are shed.
+    const std::size_t size =
+        server.handle_datagram(copy, net::Ipv4Addr(192, 0, 2, 1),
+                               net::SimTime(trial * 3 / 4), out);
+    if (size == 0) continue;
+    const auto response =
+        dns::decode(std::span<const std::uint8_t>(out.data(), size));
+    ASSERT_TRUE(response.has_value()) << "trial " << trial;
+    EXPECT_TRUE(response->header.qr) << "trial " << trial;
+    ASSERT_GE(copy.size(), 2u);
+    EXPECT_EQ(response->header.id, (copy[0] << 8) | copy[1])
+        << "trial " << trial;
+  }
+  const WireServerStats& stats = server.stats();
+  EXPECT_EQ(stats.received.load(), 2000u);
+  EXPECT_EQ(stats.received.load(),
+            stats.answered.load() + stats.slipped.load() +
+                stats.dropped_rrl.load() + stats.dropped_capacity.load() +
+                stats.dropped_malformed.load());
+  for (const auto* counter :
+       {&stats.answered, &stats.slipped, &stats.dropped_rrl,
+        &stats.dropped_capacity, &stats.dropped_malformed}) {
+    EXPECT_GT(counter->load(), 0u);  // every outcome is exercised
+  }
 }
 
 TEST(WireServer, LoopbackIntegrationAnswersRealSocketQuery) {

@@ -5,6 +5,11 @@
 #include <cmath>
 #include <string>
 
+#include "core/report_writer.h"
+#include "obs/runtime.h"
+#include "sweep/summary.h"
+#include "util/rng.h"
+
 namespace rootstress::obs {
 namespace {
 
@@ -129,6 +134,73 @@ TEST(Json, ParseRejectsUnboundedDepth) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
   EXPECT_FALSE(json_parse(deep).has_value());
+}
+
+/// A telemetry document with every section the exporter writes: labelled
+/// counters, gauges and a histogram, trace events, a profiled phase, and
+/// a flight-recorder timeline with a series and a span.
+std::string telemetry_document() {
+  Runtime runtime(/*trace_capacity=*/8);
+  runtime.metrics().counter("sim.steps").add(2880);
+  runtime.metrics().gauge("site.load", {{"site", "K-AMS"}}).set(0.875);
+  auto& rtt = runtime.metrics().histogram("probe.rtt_ms", {}, 25.0, 8);
+  for (const double ms : {12.5, 48.0, 180.25, 1e4}) rtt.observe(ms);
+  runtime.event(TraceEventType::kCatchmentFlip, net::SimTime(60000), 'K',
+                "K-AMS", "3 ASes changed site \"quoted\"", 3.0);
+  { PhaseProfiler::Scope phase(&runtime.profiler(), "fluid-stepping"); }
+  Timeline& timeline = runtime.make_timeline(
+      net::SimTime(0), net::SimTime::from_hours(1),
+      net::SimTime::from_minutes(10));
+  const std::size_t served = timeline.add_series("served_fraction", 'K',
+                                                 "letter", SeriesAgg::kMean);
+  timeline.record(served, net::SimTime::from_minutes(5), 0.5);
+  timeline.add_span(TimelineSpan{"attack", "event-1", "K", net::SimTime(0),
+                                 net::SimTime::from_minutes(20)});
+  return core::telemetry_json(runtime.snapshot(net::SimTime::from_hours(1)));
+}
+
+/// A RunSummary document as the sweep cache stores it, with a 64-bit
+/// config hash and NaN fields (tagged strings).
+std::string summary_document() {
+  sweep::RunSummary summary;
+  summary.config_hash = 0xfeedfacecafebeefull;
+  summary.mean_served_attacked = 1.0 / 3.0;
+  summary.record_count = 849576;
+  summary.worst_bin_answered = std::nan("");
+  sweep::LetterCellSummary k;
+  k.letter = 'K';
+  k.attacked = true;
+  k.baseline_vps = 389;
+  k.median_rtt_event_ms = 1e-308;
+  summary.letters.push_back(k);
+  return sweep::summary_to_json(summary).dump();
+}
+
+// Mutated telemetry and summary documents: every mutant is rejected, or
+// what it parses to dumps to a text that parse-then-dump reproduces
+// exactly. Mutants replace one byte or cut the document short.
+TEST(Json, MutatedDocumentsAreRejectedOrReachAFixedPoint) {
+  util::Rng rng(2015);
+  for (const std::string& text : {telemetry_document(), summary_document()}) {
+    ASSERT_TRUE(json_parse(text).has_value()) << text;
+    int accepted = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::string copy = text;
+      if (trial % 4 == 0) {
+        copy.resize(rng.below(copy.size()));
+      } else {
+        copy[rng.below(copy.size())] = static_cast<char>(rng.below(256));
+      }
+      const auto parsed = json_parse(copy);
+      if (!parsed.has_value()) continue;
+      ++accepted;
+      const std::string dumped = parsed->dump();
+      const auto again = json_parse(dumped);
+      ASSERT_TRUE(again.has_value()) << copy;
+      EXPECT_EQ(again->dump(), dumped) << copy;
+    }
+    EXPECT_GT(accepted, 0);  // digit-for-digit swaps stay valid
+  }
 }
 
 }  // namespace

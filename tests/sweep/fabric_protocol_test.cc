@@ -216,6 +216,66 @@ TEST(FabricProtocol, MutatedResultLinesAreRejectedOrRoundTrip) {
   EXPECT_GT(accepted, 0);  // digit-for-digit swaps stay valid
 }
 
+/// The line that encodes `msg`, for every kind but RESULT.
+std::string encode_control(const Message& msg) {
+  switch (msg.kind) {
+    case MessageKind::kHello: return encode_hello(msg.pid, msg.version);
+    case MessageKind::kLease: return encode_lease(msg.index);
+    case MessageKind::kAck: return encode_ack(msg.index);
+    case MessageKind::kShutdown: return encode_shutdown();
+    case MessageKind::kHeartbeat:
+      return encode_heartbeat(msg.index, msg.elapsed_ms);
+    case MessageKind::kError: return encode_error(msg.index, msg.error);
+    case MessageKind::kResult: break;
+  }
+  ADD_FAILURE() << "no control encoding for " << to_string(msg.kind);
+  return {};
+}
+
+// Mutated control lines (one byte replaced, or the line cut short): each
+// is rejected, or its message re-encodes to a line that parses back to
+// the same message. The seeds sit at the field limits: the largest pid,
+// a 64-bit index, the current protocol version.
+TEST(FabricProtocol, MutatedControlLinesAreRejectedOrRoundTrip) {
+  const std::vector<std::string> seeds = {
+      encode_hello(4242),
+      encode_hello(std::numeric_limits<int>::max()),
+      encode_lease(17),
+      encode_lease(std::numeric_limits<std::size_t>::max()),
+      encode_ack(9),
+      encode_heartbeat(3, 1234.5),
+      encode_heartbeat(12, 0.125),
+      encode_error(5, "engine threw: bad_alloc at cell 5"),
+      encode_shutdown(),
+  };
+  util::Rng rng(31);
+  int accepted = 0;
+  for (const std::string& seed : seeds) {
+    for (int trial = 0; trial < 500; ++trial) {
+      std::string copy = seed;
+      if (trial % 4 == 0) {
+        copy.resize(rng.below(copy.size()));
+      } else {
+        copy[rng.below(copy.size())] = static_cast<char>(rng.below(256));
+      }
+      const auto parsed = parse_message(copy);
+      if (!parsed.has_value()) continue;
+      ++accepted;
+      ASSERT_NE(parsed->kind, MessageKind::kResult) << copy;
+      const std::string line = encode_control(*parsed);
+      const auto again = parse_message(line);
+      ASSERT_TRUE(again.has_value()) << copy << " -> " << line;
+      EXPECT_EQ(again->kind, parsed->kind) << copy;
+      EXPECT_EQ(again->pid, parsed->pid) << copy;
+      EXPECT_EQ(again->version, parsed->version) << copy;
+      EXPECT_EQ(again->index, parsed->index) << copy;
+      EXPECT_EQ(again->elapsed_ms, parsed->elapsed_ms) << copy;
+      EXPECT_EQ(again->error, parsed->error) << copy;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
 TEST(FabricLineChannel, FramesLinesAcrossPartialWrites) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

@@ -61,6 +61,20 @@ TEST_P(PercentileTest, MatchesSortedReferenceOnShuffledDuplicates) {
   }
 }
 
+TEST_P(PercentileTest, InPlaceOn16BitValuesMatchesDoubles) {
+  // Selecting on the 16-bit values themselves must give percentile()'s
+  // result over the same values as doubles, bit for bit.
+  std::mt19937_64 gen(0xbeef);
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 64u, 1001u}) {
+    std::vector<std::uint16_t> narrow(n);
+    for (auto& x : narrow) x = static_cast<std::uint16_t>(gen() % 70000);
+    const std::vector<double> wide(narrow.begin(), narrow.end());
+    EXPECT_EQ(percentile_in_place(narrow, GetParam().first),
+              percentile(wide, GetParam().first))
+        << "n " << n;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PercentileTest,
     ::testing::Values(std::pair{0.0, 0.0}, std::pair{25.0, 2.5},
@@ -139,6 +153,28 @@ TEST(Stats, LinearFitDegenerate) {
       linear_fit(std::vector<double>{1.0}, std::vector<double>{2.0});
   EXPECT_DOUBLE_EQ(fit.slope, 0.0);
   EXPECT_DOUBLE_EQ(fit.r_squared, 0.0);
+}
+
+TEST(Stats, GroupMediansMatchPerGroupMedians) {
+  std::mt19937_64 gen(0x9e0);
+  const std::size_t groups = 9;
+  std::vector<std::size_t> keys;
+  std::vector<std::uint16_t> values;
+  std::vector<std::vector<double>> by_group(groups);
+  for (int i = 0; i < 500; ++i) {
+    const std::size_t key = gen() % (groups - 1);  // the last group stays empty
+    const auto value = static_cast<std::uint16_t>(gen() % 1000);
+    keys.push_back(key);
+    values.push_back(value);
+    by_group[key].push_back(value);
+  }
+  const auto medians = group_medians(keys, values, groups);
+  ASSERT_EQ(medians.size(), groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    EXPECT_EQ(medians[g], median(by_group[g])) << "group " << g;
+  }
+  EXPECT_EQ(medians.back(), 0.0);
+  EXPECT_TRUE(group_medians({}, {}, 0).empty());
 }
 
 }  // namespace

@@ -45,19 +45,6 @@ TEST(BinnedSeries, BinStart) {
   EXPECT_EQ(s.bin_start(2), 700);
 }
 
-TEST(BinnedSeries, MedianRequiresKeptSamples) {
-  BinnedSeries no_samples(0, 100, 1);
-  no_samples.add(0, 5.0);
-  EXPECT_DOUBLE_EQ(no_samples.median(0), 0.0);
-
-  BinnedSeries s(0, 100, 1, /*keep_samples=*/true);
-  s.add(0, 1.0);
-  s.add(1, 9.0);
-  s.add(2, 5.0);
-  EXPECT_DOUBLE_EQ(s.median(0), 5.0);
-  EXPECT_EQ(s.samples(0).size(), 3u);
-}
-
 TEST(BinnedSeries, CountEvent) {
   BinnedSeries s(0, 100, 2);
   s.count_event(50);
