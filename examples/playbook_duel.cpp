@@ -174,9 +174,8 @@ int main(int argc, char** argv) {
   for (const auto& cell : cold.cells) keys.insert(cell.key);
   std::printf(
       "campaign: cells=%zu distinct_keys=%zu cold_executed=%zu "
-      "warm_cache_hits=%zu evicted=%llu\n",
-      cold.cells.size(), keys.size(), cold.executed, warm.cache_hits,
-      static_cast<unsigned long long>(warm.cache_stats.evicted));
+      "warm_cache_hits=%zu\n",
+      cold.cells.size(), keys.size(), cold.executed, warm.cache_hits);
   if (keys.size() != cold.cells.size() || warm.cache_hits != cold.cells.size()) {
     std::printf("FAIL: playbook axis did not cache three distinct digests\n");
     ok = false;

@@ -11,15 +11,18 @@
 #      plain `cmake -B build -S .` builds (RelWithDebInfo, -O2 -g). Its
 #      optimizer inlines differently from -O3 and -O0, so it can warn
 #      where the other lanes do not.
-#   3. Bit-identity gate: the benchmark's replay and campaign workloads at
-#      seed 1 (perfbench/run.py, its own Release build), untraced and
-#      traced (--trace 1), must report zero failed output checks — their
-#      digests must equal the references pinned in perfbench, so a change
-#      that moves any simulation output bit fails here. Each traced run
-#      adds 65 checks: 1-lane vs 4-lane and traced replay digests,
-#      evaluate_scenario agreement, 1-worker vs 2-worker campaign
-#      digests, and every cell re-run standalone against its campaign
-#      summary.
+#   3. Bit-identity gate: all three benchmark workloads — replay,
+#      campaign and wire — at seed 1 (perfbench/run.py, its own Release
+#      build), untraced and traced (--trace 1), must report zero failed
+#      output checks — their digests must equal the references pinned in
+#      perfbench, so a change that moves any simulation output bit fails
+#      here. Each traced run adds 65 checks: 1-lane vs 4-lane and traced
+#      replay digests, evaluate_scenario agreement, 1-worker vs 2-worker
+#      campaign digests, and every cell re-run standalone against its
+#      campaign summary. The wire workload also runs the replay and
+#      campaign legs at companion size against the pinned digests,
+#      checks for unmatched responses, and needs its loopback latency leg
+#      to keep up with its offered rate.
 #   4. Smoke campaign: a 2x2 sweep grid against a fresh cache, run cold
 #      then warm, asserting the warm pass executes ZERO engine runs (the
 #      content-addressed cache contract).
@@ -112,9 +115,9 @@ echo "=== Test suite, parallel (ROOTSTRESS_THREADS=4) ==="
 echo "=== Paper gate: Table 1's key observations must all PASS ==="
 ./build/check-release/bench/paper_report table1
 
-echo "=== Bit-identity gate: pinned replay and campaign digests at seed 1 ==="
+echo "=== Bit-identity gate: pinned digests on every workload at seed 1 ==="
 for trace in 0 1; do
-  for workload in replay campaign; do
+  for workload in replay campaign wire; do
     result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
       --seconds 5 --trace "$trace" | tail -n 1)
     python3 - "$workload" "$trace" "$result" <<'PYEOF'

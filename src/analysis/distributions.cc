@@ -27,18 +27,6 @@ double EmpiricalCdf::quantile(double q) const noexcept {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-std::vector<std::pair<double, double>> EmpiricalCdf::curve(
-    std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || points < 2) return out;
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
-}
-
 double ks_distance(const EmpiricalCdf& a, const EmpiricalCdf& b) noexcept {
   if (a.size() == 0 || b.size() == 0) return 0.0;
   // Evaluate |Fa - Fb| at every observed point of both samples.

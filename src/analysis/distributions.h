@@ -27,9 +27,6 @@ class EmpiricalCdf {
   double min() const noexcept { return sorted_.empty() ? 0.0 : sorted_.front(); }
   double max() const noexcept { return sorted_.empty() ? 0.0 : sorted_.back(); }
 
-  /// Evenly spaced (x, P) points for plotting, `points` >= 2.
-  std::vector<std::pair<double, double>> curve(std::size_t points) const;
-
  private:
   std::vector<double> sorted_;
 };

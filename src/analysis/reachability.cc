@@ -40,18 +40,4 @@ int observed_site_count(const atlas::RecordSet& records, int service_index) {
   return static_cast<int>(seen.count());
 }
 
-std::pair<int, std::size_t> min_in_range(const std::vector<int>& series,
-                                         std::size_t from_bin,
-                                         std::size_t to_bin) {
-  int best = INT32_MAX;
-  std::size_t arg = from_bin;
-  for (std::size_t b = from_bin; b <= to_bin && b < series.size(); ++b) {
-    if (series[b] < best) {
-      best = series[b];
-      arg = b;
-    }
-  }
-  return {best == INT32_MAX ? 0 : best, arg};
-}
-
 }  // namespace rootstress::analysis

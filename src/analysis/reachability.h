@@ -32,10 +32,4 @@ LetterReachability reachability_series(const atlas::LetterBins& bins,
 /// Table 2 "sites observed" column.
 int observed_site_count(const atlas::RecordSet& records, int service_index);
 
-/// Restricts min search to bins inside [from_bin, to_bin]; returns
-/// (min, argmin).
-std::pair<int, std::size_t> min_in_range(const std::vector<int>& series,
-                                         std::size_t from_bin,
-                                         std::size_t to_bin);
-
 }  // namespace rootstress::analysis

@@ -9,12 +9,4 @@ const AttackEvent* AttackSchedule::active(net::SimTime t) const noexcept {
   return nullptr;
 }
 
-bool AttackSchedule::any_overlap(net::SimTime begin,
-                                 net::SimTime end) const noexcept {
-  for (const auto& event : events_) {
-    if (event.when.begin < end && begin < event.when.end) return true;
-  }
-  return false;
-}
-
 }  // namespace rootstress::attack

@@ -40,9 +40,6 @@ class AttackSchedule {
   /// The event active at `t`, if any (events are assumed disjoint).
   const AttackEvent* active(net::SimTime t) const noexcept;
 
-  /// True if any event overlaps [begin, end).
-  bool any_overlap(net::SimTime begin, net::SimTime end) const noexcept;
-
  private:
   std::vector<AttackEvent> events_;
 };

@@ -116,9 +116,9 @@ void write_markdown_report(const EvaluationReport& report,
   write_header(report, options, os);
   write_highlights(report, os);
   write_letter_table(report, os);
-  if (options.include_dnsmon_board) write_dnsmon(report, os);
-  if (options.include_collateral) write_collateral(report, os);
-  if (options.include_letter_flips) write_letter_flips(report, os);
+  write_dnsmon(report, os);
+  write_collateral(report, os);
+  write_letter_flips(report, os);
 }
 
 std::string markdown_report(const EvaluationReport& report,

@@ -17,9 +17,6 @@ namespace rootstress::core {
 /// Options for the writer.
 struct ReportOptions {
   std::string title = "Root DNS event replay";
-  bool include_dnsmon_board = true;
-  bool include_collateral = true;
-  bool include_letter_flips = true;
 };
 
 /// Writes the Markdown report to `os`.

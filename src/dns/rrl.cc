@@ -1,6 +1,7 @@
 #include "dns/rrl.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -11,7 +12,18 @@
 namespace rootstress::dns {
 
 ResponseRateLimiter::ResponseRateLimiter(RrlConfig config)
-    : config_(config) {}
+    : config_(config) {
+  // Below one token a refilled bucket still drops, and its drop count
+  // (the slip phase) differs from a fresh bucket's; without a positive
+  // rate nothing refills. Past ~30 years of sim time a sweep never comes.
+  if (config_.burst >= 1.0 && config_.responses_per_second > 0.0) {
+    const double every_ms =
+        std::ceil(1000.0 * config_.burst / config_.responses_per_second);
+    if (every_ms < 1e12) {
+      sweep_every_ = net::SimTime(static_cast<std::int64_t>(every_ms));
+    }
+  }
+}
 
 RrlAction ResponseRateLimiter::decide(net::Ipv4Addr source,
                                       std::uint64_t qname_hash,
@@ -20,6 +32,10 @@ RrlAction ResponseRateLimiter::decide(net::Ipv4Addr source,
     ++responded_;
     if (responded_counter_ != nullptr) responded_counter_->add();
     return RrlAction::kRespond;
+  }
+  if (sweep_every_.ms > 0 && now >= next_sweep_) {
+    expire_idle(now);
+    next_sweep_ = now + sweep_every_;
   }
   const int shift = 32 - std::clamp(config_.source_prefix_len, 0, 32);
   const std::uint32_t block = shift >= 32 ? 0 : (source.value() >> shift);
@@ -91,14 +107,16 @@ double ResponseRateLimiter::suppression_rate() const noexcept {
   return static_cast<double>(dropped_ + slipped_) / static_cast<double>(total);
 }
 
-void ResponseRateLimiter::expire_idle(net::SimTime now, net::SimTime idle) {
-  for (auto it = buckets_.begin(); it != buckets_.end();) {
-    if (now - it->second.last > idle) {
-      it = buckets_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void ResponseRateLimiter::expire_idle(net::SimTime now) {
+  // The same refill arithmetic as decide(): a bucket full at `now` is
+  // full at any later decision too.
+  std::erase_if(buckets_, [&](const auto& entry) {
+    const Bucket& bucket = entry.second;
+    const double elapsed_s = (now - bucket.last).seconds();
+    return elapsed_s > 0 &&
+           bucket.tokens + elapsed_s * config_.responses_per_second >=
+               config_.burst;
+  });
 }
 
 double expected_suppression(double duplicate_fraction) noexcept {

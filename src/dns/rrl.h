@@ -37,6 +37,15 @@ struct RrlConfig {
 };
 
 /// Token-bucket response rate limiter keyed by (source block, qname hash).
+///
+/// Spoofed sources can name a new (block, qname) pair with every packet,
+/// so the bucket table bounds itself: as `now` advances, at most once per
+/// `burst / responses_per_second` seconds, it drops every bucket that has
+/// refilled to `burst`. With `burst >= 1` such a bucket's next decision
+/// (refill to `burst`, respond, zero the drop count) is exactly a fresh
+/// bucket's, so on a clock that never runs backwards the sweep changes no
+/// decision. The table then holds only pairs active in about the last two
+/// sweep intervals.
 class ResponseRateLimiter {
  public:
   explicit ResponseRateLimiter(RrlConfig config = {});
@@ -53,9 +62,8 @@ class ResponseRateLimiter {
   /// Fraction of decisions that produced no full response; 0 if none yet.
   double suppression_rate() const noexcept;
 
-  /// Drops state for buckets idle longer than `idle`; call periodically in
-  /// long simulations to bound memory.
-  void expire_idle(net::SimTime now, net::SimTime idle);
+  /// Buckets currently held.
+  std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
   const RrlConfig& config() const noexcept { return config_; }
 
@@ -77,8 +85,14 @@ class ResponseRateLimiter {
     int drop_count = 0;
   };
 
+  /// Drops every bucket whose refill at `now` reaches `burst`.
+  void expire_idle(net::SimTime now);
+
   RrlConfig config_;
   std::unordered_map<std::uint64_t, Bucket> buckets_;
+  /// Sweep period (burst / rate); 0 when no bucket can safely expire.
+  net::SimTime sweep_every_{};
+  net::SimTime next_sweep_{};
   std::uint64_t responded_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t slipped_ = 0;

@@ -108,12 +108,4 @@ std::optional<Location> find_location(std::string_view code) {
 
 std::span<const Location> all_locations() { return locations(); }
 
-std::size_t count_locations_in(std::string_view region) {
-  std::size_t n = 0;
-  for (const Location& loc : locations()) {
-    if (loc.region == region) ++n;
-  }
-  return n;
-}
-
 }  // namespace rootstress::net

@@ -42,7 +42,4 @@ std::optional<Location> find_location(std::string_view code);
 /// the paper's figures name for E-, K-, and D-Root).
 std::span<const Location> all_locations();
 
-/// All locations in a region code ("EU", ...).
-std::size_t count_locations_in(std::string_view region);
-
 }  // namespace rootstress::net

@@ -16,9 +16,4 @@ constexpr std::size_t wire_bytes(std::size_t payload) noexcept {
   return payload + kIpUdpHeaderBytes;
 }
 
-/// Converts a rate in (packets/s, bytes/packet) to Gb/s.
-constexpr double rate_gbps(double packets_per_s, double bytes_per_packet) noexcept {
-  return packets_per_s * bytes_per_packet * 8.0 / 1e9;
-}
-
 }  // namespace rootstress::net

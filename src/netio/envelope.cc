@@ -19,19 +19,6 @@ RateEnvelope RateEnvelope::constant(double qps) {
   return e;
 }
 
-RateEnvelope RateEnvelope::from_attack(const attack::AttackSchedule& schedule,
-                                       double rate_scale, double time_scale) {
-  std::vector<RateSegment> segments;
-  const double ts = time_scale <= 0 ? 1.0 : time_scale;
-  segments.reserve(schedule.events().size());
-  for (const attack::AttackEvent& event : schedule.events()) {
-    segments.push_back(RateSegment{event.when.begin.seconds() / ts,
-                                   event.when.end.seconds() / ts,
-                                   event.per_letter_qps * rate_scale});
-  }
-  return RateEnvelope(std::move(segments));
-}
-
 RateEnvelope RateEnvelope::from_pulse(const fault::PulseWave& pulse,
                                       double rate_scale, double time_scale,
                                       int ramp_steps) {

@@ -1,11 +1,10 @@
 // Wall-clock rate envelopes: how attack schedules become send rates.
 //
-// The simulator's attack timelines (attack::AttackSchedule events,
-// fault::PulseWave envelopes) are declared in SimTime over hours at
-// multi-Mq/s; a wire run compresses them onto seconds of wall time at
-// loopback-sized rates. A RateEnvelope is the bridge: a piecewise-
-// constant qps(t) over wall seconds, built from a constant, an attack
-// schedule, or a pulse wave via two knobs —
+// The simulator's attack timelines (fault::PulseWave envelopes) are
+// declared in SimTime over hours at multi-Mq/s; a wire run compresses
+// them onto seconds of wall time at loopback-sized rates. A RateEnvelope
+// is the bridge: a piecewise-constant qps(t) over wall seconds, built
+// from a constant or a pulse wave via two knobs —
 //   rate_scale:  wire qps per modeled qps (e.g. 1e-2 maps 5 Mq/s -> 50k)
 //   time_scale:  modeled seconds per wall second (e.g. 3600 replays an
 //                hour-long event in one second)
@@ -15,7 +14,6 @@
 
 #include <vector>
 
-#include "attack/schedule.h"
 #include "fault/schedule.h"
 
 namespace rootstress::netio {
@@ -36,12 +34,6 @@ class RateEnvelope {
 
   /// Flat `qps` forever.
   static RateEnvelope constant(double qps);
-
-  /// Replays `schedule`'s events: each event's per-letter rate times
-  /// `rate_scale`, its SimTime window divided by `time_scale` onto wall
-  /// seconds. Gaps between events offer zero.
-  static RateEnvelope from_attack(const attack::AttackSchedule& schedule,
-                                  double rate_scale, double time_scale);
 
   /// Replays a fault-layer pulse wave: square pulses become hot/floor
   /// segment pairs; sawtooth ramps are stepped into `ramp_steps` slices.

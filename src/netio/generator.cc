@@ -62,16 +62,14 @@ QueryTemplate build_template(const GeneratorConfig& config) {
   }
   dns::Message query = dns::Message::query(0, *qname, dns::RrType::kA,
                                            dns::RrClass::kIn);
-  if (config.edns) {
-    std::optional<dns::ClientSubnet> ecs;
-    if (config.spoof_sources) {
-      ecs = dns::ClientSubnet{net::Ipv4Addr(kEcsPlaceholder), 32, 0};
-    }
-    dns::add_edns(query, config.edns_udp_size, false, ecs);
+  std::optional<dns::ClientSubnet> ecs;
+  if (config.spoof_sources) {
+    ecs = dns::ClientSubnet{net::Ipv4Addr(kEcsPlaceholder), 32, 0};
   }
+  dns::add_edns(query, 4096, false, ecs);
   t.wire = dns::encode(query);
   t.question_size = qname->wire_length() + 4;
-  if (config.edns && config.spoof_sources) {
+  if (config.spoof_sources) {
     // Locate the placeholder's 4 bytes (scan backwards: the OPT record
     // trails the question).
     const std::uint8_t pattern[4] = {0xde, 0xad, 0xbe, 0xef};
@@ -94,7 +92,7 @@ void worker_main(const GeneratorConfig& config, const QueryTemplate& tmpl,
                  int worker_index, WorkerTally& tally) {
   UdpSocket socket = UdpSocket::open(config.batch_mode, &tally.error);
   if (!socket.valid()) return;
-  socket.set_buffer_bytes(config.socket_buffer_bytes);
+  socket.set_buffer_bytes(UdpSocket::kBufferBytes);
 
   const std::size_t batch = std::max<std::size_t>(1, config.batch);
   // Slots [0, batch) stage outgoing queries; [batch, 2*batch) receive.

@@ -40,16 +40,14 @@ struct GeneratorConfig {
   RateEnvelope envelope = RateEnvelope::constant(10e3);
   /// Query shape: the 2015 events' fixed names by default.
   std::string qname = "www.336901.com";
-  bool edns = true;
-  std::uint16_t edns_udp_size = 4096;
-  /// Attach the modeled spoofed source as an EDNS Client Subnet option.
+  /// Attach the modeled spoofed source as an EDNS Client Subnet option
+  /// (every query carries EDNS0 with a 4096-byte UDP limit).
   bool spoof_sources = true;
   SpoofConfig spoof{};
   std::size_t batch = 32;
   BatchMode batch_mode = BatchMode::kAuto;
   /// Post-deadline window to collect still-in-flight responses.
   double drain_grace_s = 0.25;
-  int socket_buffer_bytes = 1 << 21;
   /// RTT histogram geometry (default 0.05ms bins to 100ms).
   double rtt_bin_ms = 0.05;
   std::size_t rtt_bins = 2000;

@@ -25,7 +25,7 @@ std::size_t emit(const std::vector<std::uint8_t>& bytes,
 
 WireServer::WireServer(WireServerConfig config)
     : config_(std::move(config)),
-      root_(config_.letter, config_.site, config_.server_index, config_.rrl),
+      root_(config_.letter, config_.site, /*server_index=*/1, config_.rrl),
       admission_(config_.capacity_qps, config_.queue_burst) {}
 
 WireServer::~WireServer() { stop(); }
@@ -105,6 +105,9 @@ std::size_t WireServer::handle_datagram(std::span<const std::uint8_t> wire,
   auto it = packet_cache_.find(key);
   if (it == packet_cache_.end()) {
     stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    if (packet_cache_.size() >= kPacketCacheEntries) {
+      return emit(dns::encode(root_.referral_response(*query)), out);
+    }
     it = packet_cache_
              .emplace(std::move(key),
                       dns::encode(root_.referral_response(*query)))
@@ -125,7 +128,7 @@ bool WireServer::start(std::string* error) {
   if (running_.load(std::memory_order_acquire)) return true;
   socket_ = UdpSocket::open(config_.batch_mode, error);
   if (!socket_.valid()) return false;
-  socket_.set_buffer_bytes(config_.socket_buffer_bytes);
+  socket_.set_buffer_bytes(UdpSocket::kBufferBytes);
   if (!socket_.bind(config_.listen, error)) {
     socket_.close();
     return false;

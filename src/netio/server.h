@@ -14,6 +14,8 @@
 //     built once via RootServer::referral_response and re-sent with only
 //     the message id patched — the same trick production root servers
 //     use, and what keeps a single core comfortably past 50k answers/s.
+//     Query names are the sender's choice, so the cache stops growing at
+//     kPacketCacheEntries; past that a miss is encoded and sent uncached.
 //
 // RRL runs on the real packet path. Because loopback traffic cannot
 // carry forged IP sources, the server can be told to key RRL on the
@@ -45,7 +47,6 @@ struct WireServerConfig {
   net::Endpoint listen{net::Ipv4Addr(127, 0, 0, 1), 0};  ///< 0 = any port
   char letter = 'K';
   std::string site = "AMS";
-  int server_index = 1;
   dns::RrlConfig rrl{};
   /// Modeled service rate; arrivals beyond it are dropped at admission.
   /// <= 0 disables the gate (infinite capacity).
@@ -55,7 +56,6 @@ struct WireServerConfig {
   bool rrl_keys_on_client_subnet = true;
   bool cache_responses = true;
   std::size_t batch = 32;
-  int socket_buffer_bytes = 1 << 21;
   BatchMode batch_mode = BatchMode::kAuto;
 };
 
@@ -75,6 +75,9 @@ struct WireServerStats {
 
 class WireServer {
  public:
+  /// Packet-cache bound (entries).
+  static constexpr std::size_t kPacketCacheEntries = 4096;
+
   explicit WireServer(WireServerConfig config);
   ~WireServer();
   WireServer(const WireServer&) = delete;

@@ -64,6 +64,9 @@ class UdpSocket {
   /// Requests socket buffer sizes (best effort).
   void set_buffer_bytes(int bytes) noexcept;
 
+  /// The buffer size the wire server and generator request: 2 MiB.
+  static constexpr int kBufferBytes = 1 << 21;
+
   /// Sends up to `batch.size()` datagrams; returns the number accepted by
   /// the kernel (short on EAGAIN — callers retry the tail next tick).
   std::size_t send_batch(std::span<const Datagram> batch) noexcept;

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "attack/botnet.h"
 #include "net/ipv4.h"
 #include "util/rng.h"
 
@@ -30,13 +29,6 @@ struct SpoofConfig {
   double spoof_uniform_fraction = 0.32;
   int heavy_hitters = 200;
   std::uint64_t seed = 99;
-
-  /// Lifts the shared knobs off a fluid-layer botnet config so wire runs
-  /// and simulator runs model the same source population.
-  static SpoofConfig from_botnet(const attack::BotnetConfig& botnet) noexcept {
-    return SpoofConfig{botnet.spoof_uniform_fraction, botnet.heavy_hitters,
-                       botnet.seed};
-  }
 };
 
 /// One worker's view of the source model.

@@ -1,7 +1,6 @@
 #include "obs/profiler.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -182,25 +181,5 @@ void PhaseProfiler::exit() {
 }
 
 std::vector<PhaseStats> PhaseProfiler::stats() const { return phases_; }
-
-std::string PhaseProfiler::summary_table() const {
-  std::string out =
-      "phase                       calls     total ms      self ms   "
-      "alloc MB       allocs\n";
-  char row[160];
-  for (const auto& p : phases_) {
-    std::string name(static_cast<std::size_t>(p.depth) * 2, ' ');
-    name += p.name;
-    std::snprintf(row, sizeof(row),
-                  "%-24s %8llu %12.1f %12.1f %10.1f %12llu\n", name.c_str(),
-                  static_cast<unsigned long long>(p.calls),
-                  static_cast<double>(p.total_ns) / 1e6,
-                  static_cast<double>(p.self_ns) / 1e6,
-                  static_cast<double>(p.alloc_bytes) / 1e6,
-                  static_cast<unsigned long long>(p.allocs));
-    out += row;
-  }
-  return out;
-}
 
 }  // namespace rootstress::obs

@@ -70,9 +70,6 @@ class PhaseProfiler {
   /// Aggregated stats in first-entry order.
   std::vector<PhaseStats> stats() const;
 
-  /// Aligned text summary (one row per phase, indented by nesting).
-  std::string summary_table() const;
-
   /// Individual slices in completion order, capped at kSliceCapacity
   /// (scopes past the cap still aggregate, only the slice is dropped).
   static constexpr std::size_t kSliceCapacity = 1u << 18;

@@ -143,9 +143,6 @@ class Timeline {
   /// window closing on restore).
   void close_span(std::size_t span, net::SimTime end);
 
-  std::size_t series_count() const noexcept { return data_.series.size(); }
-  std::size_t span_count() const noexcept { return data_.spans.size(); }
-
   /// The recorder's current state (valid until the next mutation).
   const TimelineData& data() const noexcept { return data_; }
 

@@ -1,10 +1,12 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <ostream>
 
 #include "obs/json.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace rootstress::obs {
@@ -27,15 +29,6 @@ const char* to_string(TraceEventType type) noexcept {
     case TraceEventType::kLog: return "log";
   }
   return "?";
-}
-
-std::optional<TraceEventType> trace_event_type_from(
-    std::string_view name) noexcept {
-  for (int i = 0; i <= static_cast<int>(TraceEventType::kLog); ++i) {
-    const auto type = static_cast<TraceEventType>(i);
-    if (name == to_string(type)) return type;
-  }
-  return std::nullopt;
 }
 
 TraceSink::TraceSink(std::size_t capacity)
@@ -131,10 +124,9 @@ void TraceSink::detach_logger() {
 }
 
 std::size_t TraceSink::capacity_from_env(std::size_t fallback) {
-  const char* env = std::getenv("ROOTSTRESS_TRACE_CAP");
-  if (env == nullptr) return fallback;
-  const long value = std::atol(env);
-  return value > 0 ? static_cast<std::size_t>(value) : fallback;
+  const auto env = util::env_integer(
+      "ROOTSTRESS_TRACE_CAP", 1, std::numeric_limits<std::int64_t>::max());
+  return env ? static_cast<std::size_t>(*env) : fallback;
 }
 
 }  // namespace rootstress::obs

@@ -17,9 +17,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/clock.h"
@@ -45,9 +43,6 @@ enum class TraceEventType : std::uint8_t {
 
 /// Stable wire name, e.g. "site-withdraw" (used in the JSON "type" field).
 const char* to_string(TraceEventType type) noexcept;
-/// Inverse of to_string; nullopt for unknown names.
-std::optional<TraceEventType> trace_event_type_from(
-    std::string_view name) noexcept;
 
 /// One trace event. `wall_us` (microseconds since the sink was created)
 /// is stamped by the sink at emit time.

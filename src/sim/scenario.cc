@@ -1,9 +1,11 @@
 #include "sim/scenario.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
+
+#include "util/env.h"
+#include "util/parallel.h"
 
 namespace rootstress::sim {
 
@@ -15,6 +17,9 @@ std::string validate(const ScenarioConfig& config) {
   if (config.bin_width.ms <= 0) return "bin width must be positive";
   if (config.step.ms > config.bin_width.ms) {
     return "step must not exceed the analysis bin width";
+  }
+  if (config.threads > util::kMaxThreads) {
+    return "threads exceeds " + std::to_string(util::kMaxThreads);
   }
   if (config.population.vp_count < 0) return "negative VP count";
   if (config.probe_window.end < config.probe_window.begin) {
@@ -69,10 +74,9 @@ std::string validate(const ScenarioConfig& config) {
 }
 
 int vp_count_from_env(int fallback) {
-  const char* env = std::getenv("ROOTSTRESS_VPS");
-  if (env == nullptr) return fallback;
-  const int value = std::atoi(env);
-  return value > 0 ? value : fallback;
+  const auto env = util::env_integer("ROOTSTRESS_VPS", 1,
+                                     std::numeric_limits<int>::max());
+  return env ? static_cast<int>(*env) : fallback;
 }
 
 }  // namespace rootstress::sim

@@ -25,8 +25,9 @@ struct ScenarioConfig {
   /// Worker lanes for the engine's parallel phases (fluid stepping and
   /// Atlas probing). <= 0 = auto: ROOTSTRESS_THREADS from the
   /// environment, else hardware_concurrency. 1 = the exact serial legacy
-  /// path (no pool, no synchronization). Results are bit-identical for
-  /// every value — see "Performance & threading model" in DESIGN.md.
+  /// path (no pool, no synchronization). At most util::kMaxThreads.
+  /// Results are bit-identical for every value — see "Performance &
+  /// threading model" in DESIGN.md.
   int threads = 0;
 
   anycast::RootDeployment::Config deployment{};
@@ -96,8 +97,9 @@ struct ScenarioConfig {
   bool telemetry = true;
 };
 
-/// Reads ROOTSTRESS_VPS from the environment, else returns `fallback`
-/// (benches use this so users can re-run at full Atlas scale).
+/// Reads ROOTSTRESS_VPS (a positive int) from the environment, else
+/// returns `fallback` (benches use this so users can re-run at full
+/// Atlas scale).
 int vp_count_from_env(int fallback);
 
 /// Validates a configuration; returns an empty string when it is usable,

@@ -1,12 +1,10 @@
 #include "sweep/cache.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <system_error>
-#include <vector>
 
 #include "fault/schedule.h"
 #include "playbook/rules.h"
@@ -195,9 +193,8 @@ std::uint64_t config_hash(const sim::ScenarioConfig& config,
   return hash;
 }
 
-RunCache::RunCache(std::filesystem::path dir, std::string salt,
-                   CacheLimits limits)
-    : dir_(std::move(dir)), salt_(std::move(salt)), limits_(limits) {
+RunCache::RunCache(std::filesystem::path dir, std::string salt)
+    : dir_(std::move(dir)), salt_(std::move(salt)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort
 }
@@ -284,62 +281,6 @@ void RunCache::store(std::uint64_t key, const RunSummary& summary) {
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) std::filesystem::remove(tmp, ec);
-
-  if (limits_.max_entries > 0 || limits_.max_bytes > 0) {
-    // Eviction races benignly with concurrent processes deleting or
-    // renaming entries; a scan tripping over one must not fail a store.
-    try {
-      enforce_limits();
-    } catch (...) {
-    }
-  }
-}
-
-void RunCache::enforce_limits() {
-  std::lock_guard<std::mutex> lock(evict_mutex_);
-  struct Entry {
-    std::filesystem::path path;
-    std::filesystem::file_time_type written;
-    std::uintmax_t bytes = 0;
-  };
-  std::vector<Entry> entries;
-  std::uintmax_t total_bytes = 0;
-  std::error_code ec;
-  for (const auto& file : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!file.is_regular_file(ec)) continue;
-    if (file.path().extension() != ".json") continue;  // skip .tmp in flight
-    Entry entry;
-    entry.path = file.path();
-    entry.written = file.last_write_time(ec);
-    entry.bytes = file.file_size(ec);
-    total_bytes += entry.bytes;
-    entries.push_back(std::move(entry));
-  }
-  const bool over_entries =
-      limits_.max_entries > 0 && entries.size() > limits_.max_entries;
-  const bool over_bytes =
-      limits_.max_bytes > 0 && total_bytes > limits_.max_bytes;
-  if (!over_entries && !over_bytes) return;
-  // Oldest first; ties (filesystems with coarse timestamps) break by path
-  // so the eviction order stays deterministic.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a,
-                                               const Entry& b) {
-    if (a.written != b.written) return a.written < b.written;
-    return a.path < b.path;
-  });
-  std::size_t count = entries.size();
-  for (const Entry& entry : entries) {
-    const bool fits_entries =
-        limits_.max_entries == 0 || count <= limits_.max_entries;
-    const bool fits_bytes =
-        limits_.max_bytes == 0 || total_bytes <= limits_.max_bytes;
-    if (fits_entries && fits_bytes) break;
-    if (std::filesystem::remove(entry.path, ec)) {
-      --count;
-      total_bytes -= entry.bytes;
-      evicted_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 CacheStats RunCache::stats() const noexcept {
@@ -348,7 +289,6 @@ CacheStats RunCache::stats() const noexcept {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.stores = stores_.load(std::memory_order_relaxed);
   s.invalid = invalid_.load(std::memory_order_relaxed);
-  s.evicted = evicted_.load(std::memory_order_relaxed);
   return s;
 }
 

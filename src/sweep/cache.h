@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,15 +53,6 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
   std::uint64_t invalid = 0;  ///< present but unreadable/unparsable
-  std::uint64_t evicted = 0;  ///< entries removed by the size limits
-};
-
-/// Optional cache size bounds. 0 = unlimited (the default). When a store
-/// pushes the cache past a limit, the oldest entries (by last write time)
-/// are evicted until it fits again.
-struct CacheLimits {
-  std::size_t max_entries = 0;
-  std::uintmax_t max_bytes = 0;
 };
 
 /// Disk-backed summary cache. Thread-safe: distinct keys map to distinct
@@ -73,8 +63,7 @@ class RunCache {
  public:
   /// Creates `dir` (and parents) if missing.
   explicit RunCache(std::filesystem::path dir,
-                    std::string salt = std::string(kCodeVersionSalt),
-                    CacheLimits limits = {});
+                    std::string salt = std::string(kCodeVersionSalt));
 
   /// The (salted) key for a config.
   std::uint64_t key(const sim::ScenarioConfig& config) const;
@@ -89,24 +78,16 @@ class RunCache {
   CacheStats stats() const noexcept;
   const std::filesystem::path& directory() const noexcept { return dir_; }
   const std::string& salt() const noexcept { return salt_; }
-  const CacheLimits& limits() const noexcept { return limits_; }
 
  private:
   std::filesystem::path entry_path(std::uint64_t key) const;
-  /// Evicts oldest-first until the directory satisfies `limits_`. Called
-  /// after every store when any limit is set; serialized by a mutex so
-  /// concurrent storers do not race the directory scan.
-  void enforce_limits();
 
   std::filesystem::path dir_;
   std::string salt_;
-  CacheLimits limits_{};
-  std::mutex evict_mutex_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};
   std::atomic<std::uint64_t> invalid_{0};
-  std::atomic<std::uint64_t> evicted_{0};
 };
 
 }  // namespace rootstress::sweep

@@ -20,10 +20,9 @@ std::string to_string(ExecutorMode mode) {
 }
 
 CompletionBoard::CompletionBoard(std::size_t total, std::size_t cached,
-                                 int workers, double straggler_factor,
-                                 ProgressSink* sink, ProgressFn progress)
+                                 int workers, ProgressSink* sink,
+                                 ProgressFn progress)
     : workers_(std::max(workers, 1)),
-      straggler_factor_(straggler_factor),
       sink_(sink),
       progress_fn_(std::move(progress)),
       begin_(std::chrono::steady_clock::now()) {
@@ -65,7 +64,7 @@ void CompletionBoard::cell_finished(CellOutcome& outcome) {
   // this sample drags the EMA up.
   outcome.straggler =
       progress_.done > 0 &&
-      outcome.wall_ms > straggler_factor_ * progress_.ema_cell_ms;
+      outcome.wall_ms > kStragglerFactor * progress_.ema_cell_ms;
   progress_.ema_cell_ms =
       progress_.done == 0
           ? outcome.wall_ms

@@ -64,13 +64,6 @@ struct ExecutorConfig {
   /// (same resolution as `workers`). Each worker gets
   /// util::lanes_per_worker(lane_budget, workers) engine threads.
   int lane_budget = 0;
-  /// Fabric only: worker heartbeat period while a cell executes.
-  double heartbeat_ms = 250.0;
-  /// Fabric only: an idle worker may duplicate ("steal") the oldest
-  /// outstanding lease once it has been out this long with no result.
-  /// First result wins; duplicates are bit-identical by the determinism
-  /// contract, so stealing can only shorten the tail, never change it.
-  double steal_after_ms = 2000.0;
   /// Fabric fault injection (tests/bench only): worker ordinal 0 exits
   /// hard after accepting this many leases, exercising crash re-lease.
   /// < 0 disables.
@@ -101,6 +94,11 @@ struct CellOutcome {
   RunSummary summary;
 };
 
+/// A finished cell whose wall time exceeds this multiple of the EMA of
+/// completed cells is flagged a straggler (CellOutcome::straggler and the
+/// sink's CellProgress).
+inline constexpr double kStragglerFactor = 3.0;
+
 /// Shared progress/straggler accounting: counters, the wall-time EMA and
 /// ETA, and the sink/progress callbacks, all under one lock so every
 /// executor reports identically. Monotonicity invariants (done never
@@ -113,8 +111,7 @@ class CompletionBoard {
                          double wall_ms)>;
 
   CompletionBoard(std::size_t total, std::size_t cached, int workers,
-                  double straggler_factor, ProgressSink* sink,
-                  ProgressFn progress);
+                  ProgressSink* sink, ProgressFn progress);
 
   void campaign_started();
   /// A cell began executing (first lease under the fabric, task entry
@@ -134,7 +131,6 @@ class CompletionBoard {
   mutable std::mutex mutex_;
   ProgressSnapshot progress_;
   const int workers_;
-  const double straggler_factor_;
   ProgressSink* const sink_;
   const ProgressFn progress_fn_;
   const std::chrono::steady_clock::time_point begin_;

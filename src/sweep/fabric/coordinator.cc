@@ -63,9 +63,7 @@ void SubprocessExecutor::execute(const ExecutionContext& ctx) {
   if (ctx.cache != nullptr) {
     env_base.cache_dir = ctx.cache->directory();
     env_base.cache_salt = ctx.cache->salt();
-    env_base.cache_limits = ctx.cache->limits();
   }
-  env_base.heartbeat_ms = config_.heartbeat_ms;
   env_base.fail_after_leases = config_.fail_worker_after;
 
   // Fork the fleet. Children inherit the expanded cell table and nothing
@@ -111,7 +109,7 @@ void SubprocessExecutor::execute(const ExecutionContext& ctx) {
   std::vector<std::string> errors;
 
   const auto steal_after =
-      std::chrono::duration<double, std::milli>(config_.steal_after_ms);
+      std::chrono::duration<double, std::milli>(kStealAfterMs);
 
   // Picks the next cell for an idle worker: queue first, then steal the
   // oldest sufficiently-stale lease held elsewhere (at most one
@@ -281,8 +279,8 @@ void SubprocessExecutor::execute(const ExecutionContext& ctx) {
           " cells unfinished" +
           (errors.empty() ? "" : ("; first error: " + errors.front())));
     }
-    const int timeout_ms = std::max(10, static_cast<int>(config_.heartbeat_ms));
-    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
+    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+           static_cast<int>(kHeartbeatMs));
     for (std::size_t p = 0; p < pfds.size(); ++p) {
       WorkerSlot& slot = workers[slot_of_pfd[p]];
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;

@@ -9,7 +9,7 @@
 //     (EOF / EPIPE) means the worker died; its outstanding lease goes
 //     back to the front of the queue and is re-leased elsewhere.
 //   - Work stealing: once the queue is empty, an idle worker duplicates
-//     the oldest lease that has been out longer than steal_after_ms.
+//     the oldest lease that has been out longer than kStealAfterMs.
 //     First result wins; the loser's duplicate is acked and discarded.
 //     Duplicates are bit-identical by the determinism contract (and
 //     usually resolve through the shared RunCache anyway), so stealing

@@ -44,6 +44,16 @@ namespace rootstress::sweep::fabric {
 /// binaries ever replace forked workers).
 inline constexpr int kProtocolVersion = 1;
 
+/// A worker heartbeats its in-flight cell this often; the coordinator
+/// polls its channels at the same period.
+inline constexpr double kHeartbeatMs = 250.0;
+
+/// Once the queue is empty, an idle worker may duplicate ("steal") the
+/// oldest lease that has been out this long with no result. First result
+/// wins; duplicates are bit-identical by the determinism contract, so
+/// stealing can only shorten the tail, never change it.
+inline constexpr double kStealAfterMs = 2000.0;
+
 enum class MessageKind : std::uint8_t {
   kHello,
   kLease,

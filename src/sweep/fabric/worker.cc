@@ -76,8 +76,7 @@ int worker_main(int fd, const WorkerEnv& env) {
 
   std::unique_ptr<RunCache> cache;
   if (!env.cache_dir.empty()) {
-    cache = std::make_unique<RunCache>(env.cache_dir, env.cache_salt,
-                                       env.cache_limits);
+    cache = std::make_unique<RunCache>(env.cache_dir, env.cache_salt);
   }
 
   if (!send(encode_hello(static_cast<int>(::getpid())))) return 1;
@@ -89,7 +88,7 @@ int worker_main(int fd, const WorkerEnv& env) {
   std::atomic<std::int64_t> busy_since_ns{0};
   std::thread heartbeat([&] {
     const auto period =
-        std::chrono::duration<double, std::milli>(env.heartbeat_ms);
+        std::chrono::duration<double, std::milli>(kHeartbeatMs);
     while (!stop.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(period);
       const long index = busy_index.load(std::memory_order_acquire);

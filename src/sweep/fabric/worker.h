@@ -28,8 +28,6 @@ struct WorkerEnv {
   /// Shared result store; empty = run without a cache.
   std::filesystem::path cache_dir;
   std::string cache_salt{kCodeVersionSalt};
-  CacheLimits cache_limits{};
-  double heartbeat_ms = 250.0;
   /// Fault injection (tests): ordinal-0 workers exit hard after
   /// accepting this many leases. < 0 disables.
   int fail_after_leases = -1;

@@ -39,8 +39,8 @@ struct CellProgress {
   std::string label;
   bool cached = false;
   double wall_ms = 0.0;  ///< 0 at start and for cached cells
-  /// Flagged when this cell's wall time exceeded
-  /// CampaignOptions::straggler_factor x the EMA at completion.
+  /// Flagged when this cell's wall time exceeded kStragglerFactor x the
+  /// EMA at completion (sweep/executor.h).
   bool straggler = false;
   /// Who ran the cell ("inproc", "worker-K"); empty at cell_started —
   /// the executor is only known once a result lands.

@@ -128,7 +128,6 @@ obs::JsonValue CampaignResult::to_json() const {
   cache_doc.set("misses", obs::JsonValue(cache_stats.misses));
   cache_doc.set("stores", obs::JsonValue(cache_stats.stores));
   cache_doc.set("invalid", obs::JsonValue(cache_stats.invalid));
-  cache_doc.set("evicted", obs::JsonValue(cache_stats.evicted));
   doc.set("cache", std::move(cache_doc));
   obs::JsonValue cell_docs = obs::JsonValue::array();
   for (const auto& cell : cells) {
@@ -203,9 +202,7 @@ CampaignResult run_campaign(const Campaign& campaign,
 
   std::unique_ptr<RunCache> cache;
   if (!options.cache_dir.empty()) {
-    cache = std::make_unique<RunCache>(
-        options.cache_dir, options.cache_salt,
-        CacheLimits{options.cache_max_entries, options.cache_max_bytes});
+    cache = std::make_unique<RunCache>(options.cache_dir, options.cache_salt);
   }
 
   result.cells.resize(cells.size());
@@ -265,8 +262,7 @@ CampaignResult run_campaign(const Campaign& campaign,
   // One board for all executors: counters + EMA/ETA + sink callbacks
   // under one lock. Display only — nothing reads it back into cells.
   CompletionBoard board(cells.size(), result.cache_hits, workers,
-                        options.straggler_factor, options.progress_sink,
-                        options.progress);
+                        options.progress_sink, options.progress);
   if (options.progress_sink != nullptr) board.campaign_started();
 
   {

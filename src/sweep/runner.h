@@ -45,10 +45,6 @@ struct CampaignOptions {
   std::filesystem::path cache_dir;
   /// Cache salt; change to invalidate every cached summary.
   std::string cache_salt{kCodeVersionSalt};
-  /// Cache size bounds (entries / bytes); 0 = unlimited. When exceeded
-  /// after a store, oldest entries are evicted first.
-  std::size_t cache_max_entries = 0;
-  std::uintmax_t cache_max_bytes = 0;
   /// Campaign-level telemetry (cell engines additionally follow their
   /// own ScenarioConfig::telemetry).
   bool telemetry = true;
@@ -62,10 +58,6 @@ struct CampaignOptions {
   /// and never read by cell execution — attach-or-not cannot change
   /// results. Not owned; must outlive run_campaign.
   ProgressSink* progress_sink = nullptr;
-  /// A finished cell whose wall time exceeds this multiple of the EMA of
-  /// completed cells is flagged a straggler (CellOutcome::straggler and
-  /// the sink's CellProgress).
-  double straggler_factor = 3.0;
 };
 
 /// The metric a comparison table projects out of each cell.

@@ -25,11 +25,6 @@ std::uint64_t FixedBinHistogram::bin(std::size_t i) const noexcept {
   return i < counts_.size() ? counts_[i] : 0;
 }
 
-std::size_t FixedBinHistogram::mode_bin() const noexcept {
-  return static_cast<std::size_t>(
-      std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
-}
-
 std::size_t FixedBinHistogram::mode_bin_above(
     const FixedBinHistogram& baseline) const noexcept {
   std::size_t best = 0;
@@ -44,16 +39,6 @@ std::size_t FixedBinHistogram::mode_bin_above(
     }
   }
   return best;
-}
-
-double FixedBinHistogram::approximate_mean() const noexcept {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double center = bin_lo(i) + bin_width_ / 2.0;
-    acc += center * static_cast<double>(counts_[i]);
-  }
-  return acc / static_cast<double>(total_);
 }
 
 bool FixedBinHistogram::merge(const FixedBinHistogram& other) noexcept {

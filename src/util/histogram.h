@@ -32,16 +32,10 @@ class FixedBinHistogram {
   /// Lower edge of bin `i`.
   double bin_lo(std::size_t i) const noexcept { return bin_width_ * static_cast<double>(i); }
 
-  /// Index of the most populated bin (0 if empty).
-  std::size_t mode_bin() const noexcept;
-
   /// Index of the most populated bin after subtracting `baseline`
   /// bin-by-bin (saturating at zero). This is the paper's method of
   /// locating attack-query sizes: the bin that grew the most.
   std::size_t mode_bin_above(const FixedBinHistogram& baseline) const noexcept;
-
-  /// Mean of observations using bin centers; 0 if empty.
-  double approximate_mean() const noexcept;
 
   /// Adds all counts from `other` (must have identical geometry; otherwise
   /// a no-op returning false).

@@ -1,18 +1,18 @@
 #include "util/parallel.h"
 
-#include <cstdlib>
+#include <algorithm>
+
+#include "util/env.h"
 
 namespace rootstress::util {
 
 int resolve_thread_count(int requested) noexcept {
   if (requested >= 1) return requested;
-  if (const char* env = std::getenv("ROOTSTRESS_THREADS");
-      env != nullptr && *env != '\0') {
-    const int value = std::atoi(env);
-    if (value >= 1) return value;
+  if (const auto env = env_integer("ROOTSTRESS_THREADS", 1, kMaxThreads)) {
+    return static_cast<int>(*env);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
+  return static_cast<int>(std::clamp<unsigned>(hw, 1, kMaxThreads));
 }
 
 int lanes_per_worker(int lane_budget, int outer_workers) noexcept {

@@ -39,8 +39,13 @@
 
 namespace rootstress::util {
 
+/// Bound on the auto lane count: a ROOTSTRESS_THREADS value above it is
+/// ignored, and sim::validate rejects a ScenarioConfig::threads above it.
+inline constexpr int kMaxThreads = 256;
+
 /// Resolves a requested thread count: values >= 1 pass through; 0 (auto)
-/// reads ROOTSTRESS_THREADS, falling back to hardware_concurrency (>= 1).
+/// reads ROOTSTRESS_THREADS when it is an integer in [1, kMaxThreads],
+/// else takes hardware_concurrency, clamped to [1, kMaxThreads].
 int resolve_thread_count(int requested) noexcept;
 
 /// Splits a total lane budget across `outer` concurrent workers: the

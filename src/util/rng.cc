@@ -83,14 +83,6 @@ bool Rng::chance(double p) noexcept {
   return uniform() < p;
 }
 
-double Rng::exponential(double mean) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u == 0.0);
-  return -mean * std::log(u);
-}
-
 double Rng::normal(double mean, double stddev) noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

@@ -51,8 +51,6 @@ class Rng {
   std::int64_t between(std::int64_t lo, std::int64_t hi) noexcept;
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p) noexcept;
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean) noexcept;
   /// Standard normal via Box-Muller.
   double normal(double mean = 0.0, double stddev = 1.0) noexcept;
   /// Pareto-distributed value with scale xm > 0 and shape alpha > 0.

@@ -20,14 +20,6 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-double stddev_population(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
 double median(std::span<const double> xs) {
   return percentile(xs, 50.0);
 }

@@ -16,10 +16,6 @@ double mean(std::span<const double> xs) noexcept;
 /// other estimate drawn from a sample of a larger population.
 double stddev(std::span<const double> xs) noexcept;
 
-/// Population standard deviation (divides by N); 0 for an empty input.
-/// Only correct when the span IS the whole population, not a sample.
-double stddev_population(std::span<const double> xs) noexcept;
-
 /// Median (average of the two central elements for even sizes); 0 if empty.
 /// The input is copied; the caller's data is not reordered.
 double median(std::span<const double> xs);

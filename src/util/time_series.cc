@@ -33,12 +33,4 @@ double BinnedSeries::mean(std::size_t i) const noexcept {
   return sums_[i] / static_cast<double>(counts_[i]);
 }
 
-std::vector<double> BinnedSeries::counts_as_doubles() const {
-  std::vector<double> out(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = static_cast<double>(counts_[i]);
-  }
-  return out;
-}
-
 }  // namespace rootstress::util

@@ -58,9 +58,6 @@ class BinnedSeries {
   /// Mean of observed values in bin `i`; 0 if empty.
   double mean(std::size_t i) const noexcept;
 
-  /// All per-bin counts as doubles (convenient for stats helpers).
-  std::vector<double> counts_as_doubles() const;
-
  private:
   std::int64_t start_ms_;
   std::int64_t bin_ms_;

@@ -67,12 +67,5 @@ TEST(Reachability, ObservedSiteCount) {
   EXPECT_EQ(observed_site_count(records, 2), 0);
 }
 
-TEST(Reachability, MinInRange) {
-  const std::vector<int> series{9, 7, 3, 8, 2, 9};
-  EXPECT_EQ(min_in_range(series, 0, 5), (std::pair<int, std::size_t>{2, 4}));
-  EXPECT_EQ(min_in_range(series, 0, 3), (std::pair<int, std::size_t>{3, 2}));
-  EXPECT_EQ(min_in_range(series, 5, 99), (std::pair<int, std::size_t>{9, 5}));
-}
-
 }  // namespace
 }  // namespace rootstress::analysis

@@ -19,17 +19,6 @@ TEST(Schedule, ActiveLookup) {
   EXPECT_EQ(schedule.active(net::SimTime(200)), nullptr);
 }
 
-TEST(Schedule, Overlap) {
-  AttackSchedule schedule;
-  AttackEvent e;
-  e.when = {net::SimTime(100), net::SimTime(200)};
-  schedule.add(e);
-  EXPECT_TRUE(schedule.any_overlap(net::SimTime(150), net::SimTime(300)));
-  EXPECT_TRUE(schedule.any_overlap(net::SimTime(0), net::SimTime(101)));
-  EXPECT_FALSE(schedule.any_overlap(net::SimTime(200), net::SimTime(300)));
-  EXPECT_FALSE(schedule.any_overlap(net::SimTime(0), net::SimTime(100)));
-}
-
 TEST(Events2015, TimesMatchThePaper) {
   // Nov 30 06:50-09:30 (160 min) and Dec 1 05:10-06:10 (60 min).
   EXPECT_EQ(kEvent1.begin.to_string(), "0d06:50:00");

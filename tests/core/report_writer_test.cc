@@ -45,17 +45,12 @@ TEST_F(ReportWriterTest, ContainsAllSections) {
   }
 }
 
-TEST_F(ReportWriterTest, OptionsDisableSections) {
+TEST_F(ReportWriterTest, OptionsSetTheTitle) {
   ReportOptions options;
   options.title = "Custom Title";
-  options.include_dnsmon_board = false;
-  options.include_collateral = false;
-  options.include_letter_flips = false;
   const std::string md = markdown_report(report(), options);
   EXPECT_NE(md.find("# Custom Title"), std::string::npos);
-  EXPECT_EQ(md.find("## DNSMON board"), std::string::npos);
-  EXPECT_EQ(md.find("## Collateral damage"), std::string::npos);
-  EXPECT_EQ(md.find("## Letter flips"), std::string::npos);
+  EXPECT_EQ(md.find("# Root DNS event replay"), std::string::npos);
 }
 
 TEST_F(ReportWriterTest, HighlightsNameTheWorstLetter) {

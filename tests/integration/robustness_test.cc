@@ -5,10 +5,6 @@
 
 #include "attack/events2015.h"
 #include "core/evaluation.h"
-#include <sstream>
-
-#include "atlas/binning.h"
-#include "atlas/trace_io.h"
 #include "sim/engine.h"
 #include "sim/scenario_builder.h"
 
@@ -130,36 +126,6 @@ TEST(Robustness, EvaluateScenarioOnTinyWorld) {
   config.population.vp_count = 5;
   const auto report = core::evaluate_scenario(std::move(config));
   EXPECT_EQ(report.letters.size(), 13u);
-}
-
-TEST(Robustness, TraceRoundTripPreservesAnalyses) {
-  // Export a run's records to CSV, reload them, and confirm an analysis
-  // (reachability series) is bit-identical — the published-dataset
-  // workflow of the paper's §2.4 [41].
-  auto config = tiny_base();
-  sim::SimulationEngine engine(std::move(config));
-  const auto result = engine.run();
-
-  std::stringstream buffer;
-  atlas::write_records_csv(result.records, buffer);
-  const auto reloaded = atlas::read_records_csv(buffer);
-  ASSERT_TRUE(reloaded.has_value());
-  ASSERT_EQ(reloaded->size(), result.records.size());
-
-  const std::size_t bins = static_cast<std::size_t>(
-      (result.probe_window.end - result.probe_window.begin).ms /
-      result.bin_width.ms);
-  const auto grid_a = atlas::bin_records(
-      result.records, 14, static_cast<int>(result.vps.size()),
-      result.probe_window.begin, result.bin_width, bins);
-  const auto grid_b = atlas::bin_records(
-      *reloaded, 14, static_cast<int>(result.vps.size()),
-      result.probe_window.begin, result.bin_width, bins);
-  const int k = result.service_index('K');
-  for (std::size_t b = 0; b < bins; ++b) {
-    ASSERT_EQ(grid_a[static_cast<std::size_t>(k)].successful_vps(b),
-              grid_b[static_cast<std::size_t>(k)].successful_vps(b));
-  }
 }
 
 }  // namespace

@@ -42,10 +42,5 @@ TEST(Packet, WireBytes) {
   EXPECT_EQ(wire_bytes(0), kIpUdpHeaderBytes);
 }
 
-TEST(Packet, RateGbps) {
-  // 1M packets/s at 125 bytes = 1 Gb/s.
-  EXPECT_NEAR(rate_gbps(1e6, 125.0), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace rootstress::net

@@ -34,22 +34,6 @@ TEST(RateEnvelope, MeanIsExactSegmentIntegral) {
   EXPECT_DOUBLE_EQ(env.mean_qps(2.0), 250.0);
 }
 
-TEST(RateEnvelope, FromAttackScalesRateAndCompressesTime) {
-  attack::AttackSchedule schedule;
-  attack::AttackEvent event;
-  event.when = net::SimInterval{net::SimTime::from_hours(1),
-                                net::SimTime::from_hours(2)};
-  event.per_letter_qps = 5e6;
-  schedule.add(event);
-  // 1e-2 rate scale, hour -> second time compression.
-  const RateEnvelope env =
-      RateEnvelope::from_attack(schedule, 1e-2, 3600.0);
-  EXPECT_DOUBLE_EQ(env.qps_at(0.5), 0.0);   // before the event
-  EXPECT_DOUBLE_EQ(env.qps_at(1.5), 5e4);   // inside
-  EXPECT_DOUBLE_EQ(env.qps_at(2.5), 0.0);   // after
-  EXPECT_DOUBLE_EQ(env.end_s(), 2.0);
-}
-
 TEST(RateEnvelope, FromPulseSquareAlternatesHotAndFloor) {
   fault::PulseWave pulse;
   pulse.window = net::SimInterval{net::SimTime(0),

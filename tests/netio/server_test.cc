@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "dns/chaos.h"
@@ -257,6 +258,40 @@ TEST(WireServer, UncachedModeStillAnswers) {
   EXPECT_EQ(response->header.id, 7);
   EXPECT_EQ(server.stats().cache_misses.load(), 0u);
   EXPECT_EQ(server.stats().cache_hits.load(), 0u);
+}
+
+TEST(WireServer, PacketCacheStopsGrowingAtItsCap) {
+  WireServerConfig config;
+  config.rrl.enabled = false;
+  WireServer server(config);
+  const auto name = [](std::size_t i) {
+    return "www." + std::to_string(i) + ".com";
+  };
+  constexpr std::size_t kPast = 5;  // distinct names beyond the cap
+  const std::size_t names = WireServer::kPacketCacheEntries + kPast;
+  for (std::size_t i = 0; i < names; ++i) {
+    ASSERT_TRUE(ask(server, make_query(1, name(i)), net::SimTime(0)));
+  }
+  const WireServerStats& stats = server.stats();
+  EXPECT_EQ(stats.cache_misses.load(), names);
+  EXPECT_EQ(stats.cache_hits.load(), 0u);
+
+  // The first name was cached before the cap and still hits.
+  const auto first = ask(server, make_query(2, name(0)), net::SimTime(0));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->header.id, 2);
+  EXPECT_EQ(stats.cache_hits.load(), 1u);
+
+  // A new name past the cap is answered in full but never cached.
+  for (const std::uint16_t id : {3, 4}) {
+    const auto reply = ask(server, make_query(id, "www.fresh.com"),
+                           net::SimTime(0));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->header.id, id);
+    EXPECT_FALSE(reply->authority.empty());
+  }
+  EXPECT_EQ(stats.cache_misses.load(), names + 2);
+  EXPECT_EQ(stats.cache_hits.load(), 1u);
 }
 
 // Mutants of the 2015 attack query shape (EDNS with an ECS option)

@@ -93,16 +93,5 @@ TEST(SpoofShard, UniformFractionProducesFreshAddresses) {
   EXPECT_GT(seen.size(), 1990u);
 }
 
-TEST(SpoofConfig, LiftsBotnetKnobs) {
-  attack::BotnetConfig botnet;
-  botnet.spoof_uniform_fraction = 0.5;
-  botnet.heavy_hitters = 77;
-  botnet.seed = 1234;
-  const SpoofConfig config = SpoofConfig::from_botnet(botnet);
-  EXPECT_DOUBLE_EQ(config.spoof_uniform_fraction, 0.5);
-  EXPECT_EQ(config.heavy_hitters, 77);
-  EXPECT_EQ(config.seed, 1234u);
-}
-
 }  // namespace
 }  // namespace rootstress::netio

@@ -79,17 +79,6 @@ TEST(Profiler, TracksAllocationsInsideScopes) {
 #endif
 }
 
-TEST(Profiler, SummaryTableListsPhases) {
-  PhaseProfiler profiler;
-  {
-    PhaseProfiler::Scope a(&profiler, "topology-build");
-    PhaseProfiler::Scope b(&profiler, "bgp-convergence");
-  }
-  const std::string table = profiler.summary_table();
-  EXPECT_NE(table.find("topology-build"), std::string::npos);
-  EXPECT_NE(table.find("bgp-convergence"), std::string::npos);
-}
-
 TEST(Profiler, FirstEntryOrderIsStable) {
   PhaseProfiler profiler;
   { PhaseProfiler::Scope a(&profiler, "first"); }

@@ -5,6 +5,7 @@
 #include "attack/events2015.h"
 #include "sim/engine.h"
 #include "sim/scenario_builder.h"
+#include "util/parallel.h"
 
 namespace rootstress::sim {
 namespace {
@@ -63,6 +64,13 @@ TEST(ScenarioValidation, RejectsBrokenConfigs) {
   }
   {
     ScenarioConfig c;
+    c.threads = util::kMaxThreads;
+    EXPECT_TRUE(validate(c).empty()) << "threads at the lane bound";
+    c.threads = util::kMaxThreads + 1;
+    EXPECT_FALSE(validate(c).empty()) << "threads past the lane bound";
+  }
+  {
+    ScenarioConfig c;
     c.probe_window = net::SimInterval{net::SimTime(100), net::SimTime(0)};
     EXPECT_FALSE(validate(c).empty()) << "inverted probe window";
   }
@@ -95,10 +103,17 @@ TEST(Scenario, VpCountFromEnvFallback) {
   EXPECT_EQ(vp_count_from_env(123), 123);
   setenv("ROOTSTRESS_VPS", "77", 1);
   EXPECT_EQ(vp_count_from_env(123), 77);
-  setenv("ROOTSTRESS_VPS", "garbage", 1);
-  EXPECT_EQ(vp_count_from_env(123), 123);
+  // Anything but a whole int >= 1 falls back.
+  for (const char* value : {"garbage", "", "3x", "-3", "0", "99999999999"}) {
+    setenv("ROOTSTRESS_VPS", value, 1);
+    EXPECT_EQ(vp_count_from_env(123), 123) << '"' << value << '"';
+  }
+  // Unlike the lane count, a VP count has no bound below INT_MAX.
+  setenv("ROOTSTRESS_VPS", "100000", 1);
+  EXPECT_EQ(vp_count_from_env(123), 100000);
   unsetenv("ROOTSTRESS_VPS");
 }
+
 
 }  // namespace
 }  // namespace rootstress::sim

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -428,123 +427,6 @@ TEST(RunCache, AbsentEntryIsAPlainMissNotInvalid) {
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.invalid, 0u);  // nothing was present to be invalid
-}
-
-TEST(RunCache, MaxEntriesEvictsOldestFirst) {
-  const fs::path dir = fresh_dir("rs_cache_evict_entries");
-  CacheLimits limits;
-  limits.max_entries = 2;
-  RunCache cache(dir, std::string(kCodeVersionSalt), limits);
-
-  // Four stores with strictly increasing mtimes (rewinding the clock on
-  // the older files keeps the test independent of filesystem timestamp
-  // granularity).
-  for (std::uint64_t key = 1; key <= 4; ++key) {
-    RunSummary summary = sample_summary();
-    summary.config_hash = key;
-    cache.store(key, summary);
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      fs::last_write_time(entry.path(),
-                          fs::last_write_time(entry.path()) -
-                              std::chrono::seconds(1));
-    }
-  }
-
-  std::size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    (void)entry;
-    ++files;
-  }
-  EXPECT_LE(files, 2u);
-  EXPECT_EQ(cache.stats().evicted, 2u);
-  // The newest entries survived; the oldest were evicted.
-  EXPECT_FALSE(cache.load(1).has_value());
-  EXPECT_FALSE(cache.load(2).has_value());
-  EXPECT_TRUE(cache.load(3).has_value());
-  EXPECT_TRUE(cache.load(4).has_value());
-}
-
-TEST(RunCache, MaxBytesEvictsUntilUnderTheBudget) {
-  const fs::path dir = fresh_dir("rs_cache_evict_bytes");
-  // First find one entry's size, then set the budget to about two.
-  std::uintmax_t entry_bytes = 0;
-  {
-    RunCache sizer(fresh_dir("rs_cache_evict_sizer"));
-    sizer.store(1, sample_summary());
-    for (const auto& entry :
-         fs::directory_iterator(sizer.directory())) {
-      entry_bytes = entry.file_size();
-    }
-  }
-  ASSERT_GT(entry_bytes, 0u);
-
-  CacheLimits limits;
-  limits.max_bytes = 2 * entry_bytes + entry_bytes / 2;
-  RunCache cache(dir, std::string(kCodeVersionSalt), limits);
-  for (std::uint64_t key = 1; key <= 4; ++key) {
-    cache.store(key, sample_summary());
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      fs::last_write_time(entry.path(),
-                          fs::last_write_time(entry.path()) -
-                              std::chrono::seconds(1));
-    }
-  }
-  std::uintmax_t total = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    total += entry.file_size();
-  }
-  EXPECT_LE(total, limits.max_bytes);
-  EXPECT_GE(cache.stats().evicted, 1u);
-}
-
-TEST(RunCache, AgeTiesEvictInPathOrderDeterministically) {
-  // Coarse-timestamp filesystems make whole batches of entries tie on
-  // mtime; the eviction order must then be decided by path, not directory
-  // iteration luck. Force an exact tie and check the same survivors on
-  // every run.
-  const fs::path dir = fresh_dir("rs_cache_evict_ties");
-  {
-    RunCache writer(dir);  // unlimited: no eviction while seeding
-    for (std::uint64_t key = 1; key <= 4; ++key) {
-      RunSummary summary = sample_summary();
-      summary.config_hash = key;
-      writer.store(key, summary);
-    }
-  }
-  std::optional<fs::file_time_type> stamp;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (!stamp.has_value()) stamp = fs::last_write_time(entry.path());
-    fs::last_write_time(entry.path(), *stamp);
-  }
-
-  CacheLimits limits;
-  limits.max_entries = 2;
-  RunCache cache(dir, std::string(kCodeVersionSalt), limits);
-  RunSummary fifth = sample_summary();
-  fifth.config_hash = 5;
-  cache.store(5, fifth);  // triggers enforcement over the tied batch
-
-  // Keys hash to zero-padded hex filenames, so path order == key order:
-  // the tied 1..4 lose their three lowest, entry 5 (newest mtime) stays.
-  EXPECT_EQ(cache.stats().evicted, 3u);
-  EXPECT_FALSE(cache.load(1).has_value());
-  EXPECT_FALSE(cache.load(2).has_value());
-  EXPECT_FALSE(cache.load(3).has_value());
-  EXPECT_TRUE(cache.load(4).has_value());
-  EXPECT_TRUE(cache.load(5).has_value());
-}
-
-TEST(RunCache, UnlimitedByDefaultNeverEvicts) {
-  RunCache cache(fresh_dir("rs_cache_unlimited"));
-  EXPECT_EQ(cache.limits().max_entries, 0u);
-  EXPECT_EQ(cache.limits().max_bytes, 0u);
-  for (std::uint64_t key = 1; key <= 16; ++key) {
-    cache.store(key, sample_summary());
-  }
-  EXPECT_EQ(cache.stats().evicted, 0u);
-  for (std::uint64_t key = 1; key <= 16; ++key) {
-    EXPECT_TRUE(cache.load(key).has_value()) << key;
-  }
 }
 
 TEST(RunCache, WrongSaltStoredEntryIsInvalidNotServed) {

@@ -19,14 +19,21 @@ TEST(ResolveThreadCount, ExplicitRequestPassesThrough) {
 }
 
 TEST(ResolveThreadCount, AutoRespectsEnvOverride) {
+  ::unsetenv("ROOTSTRESS_THREADS");
+  const int unset = resolve_thread_count(0);
+  EXPECT_GE(unset, 1);
+  EXPECT_LE(unset, kMaxThreads);
   ::setenv("ROOTSTRESS_THREADS", "3", 1);
   EXPECT_EQ(resolve_thread_count(0), 3);
   EXPECT_EQ(resolve_thread_count(-1), 3);
-  // A nonsense value falls through to hardware detection (>= 1).
-  ::setenv("ROOTSTRESS_THREADS", "bogus", 1);
-  EXPECT_GE(resolve_thread_count(0), 1);
+  // Anything but a whole integer in [1, kMaxThreads] falls through to
+  // hardware detection. Only the count is checked; no pool is built.
+  for (const char* value :
+       {"bogus", "", "3x", "-3", "0", "99999999999", "100000"}) {
+    ::setenv("ROOTSTRESS_THREADS", value, 1);
+    EXPECT_EQ(resolve_thread_count(0), unset) << '"' << value << '"';
+  }
   ::unsetenv("ROOTSTRESS_THREADS");
-  EXPECT_GE(resolve_thread_count(0), 1);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {

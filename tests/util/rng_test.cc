@@ -120,14 +120,6 @@ TEST(Rng, ChanceRate) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(10);
-  double sum = 0.0;
-  constexpr int kN = 200000;
-  for (int i = 0; i < kN; ++i) sum += rng.exponential(5.0);
-  EXPECT_NEAR(sum / kN, 5.0, 0.1);
-}
-
 TEST(Rng, NormalMoments) {
   Rng rng(11);
   double sum = 0.0, sq = 0.0;

@@ -94,19 +94,10 @@ TEST(Stats, StddevKnown) {
   EXPECT_GT(stddev(v), 2.0);
 }
 
-TEST(Stats, StddevPopulationKnown) {
-  EXPECT_DOUBLE_EQ(stddev_population(std::vector<double>{}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev_population(std::vector<double>{5.0}), 0.0);
-  EXPECT_NEAR(stddev_population(
-                  std::vector<double>{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
-              2.0, 1e-12);
-}
-
 TEST(Stats, StddevTwoSamples) {
   // Smallest sample the estimator is defined for: |x0 - x1| / sqrt(2)
   // scaled by the Bessel correction gives exactly the half-range * sqrt(2).
   EXPECT_NEAR(stddev(std::vector<double>{1.0, 3.0}), std::sqrt(2.0), 1e-12);
-  EXPECT_NEAR(stddev_population(std::vector<double>{1.0, 3.0}), 1.0, 1e-12);
 }
 
 TEST(Stats, MinMax) {

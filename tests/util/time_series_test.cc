@@ -54,16 +54,5 @@ TEST(BinnedSeries, CountEvent) {
   EXPECT_EQ(s.count(1), 2u);
 }
 
-TEST(BinnedSeries, CountsAsDoubles) {
-  BinnedSeries s(0, 100, 3);
-  s.count_event(0);
-  s.count_event(250);
-  const auto v = s.counts_as_doubles();
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[0], 1.0);
-  EXPECT_DOUBLE_EQ(v[1], 0.0);
-  EXPECT_DOUBLE_EQ(v[2], 1.0);
-}
-
 }  // namespace
 }  // namespace rootstress::util
