@@ -7,6 +7,9 @@
 //                                   [--executor inproc|subprocess] [--progress]
 //   ./build/examples/campaign_sweep --smoke [--cache DIR] [--progress]
 //
+// --workers takes a whole integer in [0, 256] (0 = auto); anything else
+// prints the usage line and exits 2.
+//
 // The default mode runs the 3x3 policy-vs-attack-rate grid and prints a
 // comparison table (mean served fraction over the attacked letters during
 // the event windows). --smoke runs a tiny 2x2 grid (used by
@@ -24,6 +27,8 @@
 #include <string>
 
 #include "rootstress.h"
+#include "util/env.h"
+#include "util/parallel.h"
 
 using namespace rootstress;
 
@@ -59,7 +64,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
       options.cache_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.executor.workers = std::atoi(argv[++i]);
+      // 0 = auto; more than the lane cap is refused, not clamped.
+      const auto workers = util::parse_integer(argv[++i], 0, util::kMaxThreads);
+      if (!workers) {
+        std::fprintf(stderr,
+                     "usage: campaign_sweep [--smoke] [--cache DIR] "
+                     "[--workers N] [--executor inproc|subprocess] "
+                     "[--progress]\n");
+        return 2;
+      }
+      options.executor.workers = static_cast<int>(*workers);
     } else if (std::strcmp(argv[i], "--executor") == 0 && i + 1 < argc) {
       const char* mode = argv[++i];
       if (std::strcmp(mode, "subprocess") == 0) {

@@ -46,7 +46,7 @@ int main() {
     const auto query = dns::encode(dns::make_chaos_query(
         static_cast<std::uint16_t>(vp.id)));
     auto& site = deployment.site(route.site_id);
-    const auto reply = site.probe(vp.address, rng);
+    const auto reply = site.probe(site.pick_server(vp.address), rng);
     if (!reply.answered) continue;
     const auto answer = site.server(reply.server - 1)
                             .dns()

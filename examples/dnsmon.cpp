@@ -3,16 +3,27 @@
 // (§2.4.1). Darker cells = fewer VPs getting answers.
 //
 // Usage: ./build/examples/dnsmon [vp_count]
+// vp_count (default 600) must be a whole integer >= 1; anything else
+// prints the usage line and exits 2.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "rootstress.h"
+#include "util/env.h"
 
 using namespace rootstress;
 
 int main(int argc, char** argv) {
-  const int vp_count = argc > 1 ? std::atoi(argv[1]) : 600;
+  const auto vps =
+      argc > 1 ? util::parse_integer(argv[1], 1,
+                                     std::numeric_limits<int>::max())
+               : std::optional<std::int64_t>(600);
+  if (!vps) {
+    std::fprintf(stderr, "usage: dnsmon [vp_count]\n");
+    return 2;
+  }
+  const int vp_count = static_cast<int>(*vps);
   std::printf("DNSMON replay: %d VPs, 2015-11-30 .. 2015-12-02\n\n", vp_count);
 
   const auto report =

@@ -4,31 +4,54 @@
 // Usage:
 //   ./build/examples/root_ddos_replay [vp_count] [attack_mqps] [report.md]
 //       [telemetry.json]
-// Defaults: 800 VPs, 5 Mq/s per attacked letter. Expect ~half a minute at
-// the defaults; scale vp_count down for a quick look. When a third
-// argument is given, a full Markdown incident report is written there;
-// a fourth argument receives the run's telemetry snapshot as JSON.
-// Set ROOTSTRESS_TRACE=trace.jsonl to also dump the structured event
-// trace (site withdrawals, BGP session failures, catchment flips, ...).
+// Defaults: 800 VPs, 5 Mq/s per attacked letter. Expect a few seconds at
+// the defaults and about 10 s at the paper's 9363 VPs. vp_count must be a
+// whole integer >= 1; anything else prints the usage line and exits 2.
+// When a third argument is given, a full Markdown incident report is
+// written there; a fourth argument receives the run's telemetry snapshot
+// as JSON. After the phase table the program prints the run's wall time
+// (construction, simulation and evaluation) and the process's peak
+// resident set. Set ROOTSTRESS_TRACE=trace.jsonl to also dump the
+// structured event trace (site withdrawals, BGP session failures,
+// catchment flips, ...).
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "rootstress.h"
+#include "util/env.h"
 
 using namespace rootstress;
 
 int main(int argc, char** argv) {
-  const int vp_count = argc > 1 ? std::atoi(argv[1]) : 800;
+  const auto vps =
+      argc > 1 ? util::parse_integer(argv[1], 1,
+                                     std::numeric_limits<int>::max())
+               : std::optional<std::int64_t>(800);
+  if (!vps) {
+    std::fprintf(stderr,
+                 "usage: root_ddos_replay [vp_count] [attack_mqps] "
+                 "[report.md] [telemetry.json]\n");
+    return 2;
+  }
+  const int vp_count = static_cast<int>(*vps);
   const double attack_mqps = argc > 2 ? std::atof(argv[2]) : 5.0;
 
   std::printf("Replaying the 2015 Root DNS events: %d VPs, %.1f Mq/s per "
               "attacked letter, 48 simulated hours...\n",
               vp_count, attack_mqps);
+  const auto begin = std::chrono::steady_clock::now();
   const core::EvaluationReport report =
       rootstress::run(sim::ScenarioBuilder::november_2015()
                           .vp_count(vp_count)
                           .attack_qps(attack_mqps * 1e6));
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
   const auto& result = report.result;
 
   std::printf("\ncleaning: kept %d/%d VPs (%d old firmware, %d hijacked); "
@@ -83,11 +106,16 @@ int main(int argc, char** argv) {
                   static_cast<double>(phase.total_ns) / 1e6,
                   static_cast<unsigned long long>(phase.calls));
     }
-    if (argc > 4) {
-      std::ofstream out(argv[4]);
-      core::write_telemetry(telemetry, out);
-      std::printf("wrote telemetry JSON to %s\n", argv[4]);
-    }
+  }
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KiB on Linux
+  std::printf("run: %.2f s wall (construction, simulation, evaluation); "
+              "peak RSS %.0f MB\n",
+              wall_s, static_cast<double>(usage.ru_maxrss) / 1024.0);
+  if (!telemetry.empty() && argc > 4) {
+    std::ofstream out(argv[4]);
+    core::write_telemetry(telemetry, out);
+    std::printf("wrote telemetry JSON to %s\n", argv[4]);
   }
   std::puts("\nCompare against the paper via build/bench/paper_report "
             "(all figures, or name some: paper_report fig3 table3).");

@@ -78,9 +78,11 @@
 #      debug builds re-run every answered probe's CHAOS reply through
 #      the codec and compare it with the engine's reply table), the
 #      engine unit tests at 4 threads (probe shards carry per-VP
-#      schedule and RTT state from one step to the next, possibly on
-#      another lane; every reused fluid load is recomputed and compared
-#      in debug builds), the incremental-vs-full BGP cross-check (debug
+#      schedule, key-prefix, server-pick and RTT state from one step to
+#      the next, possibly on another lane; debug builds recompute every
+#      reused fluid load, every kept probe key prefix, server pick and
+#      base RTT, and every site's kept queue outcome, and throw on any
+#      difference), the incremental-vs-full BGP cross-check (debug
 #      builds cross-check every mutation), the resolver-population unit
 #      tests (sharded stepping races), and the netio
 #      socket/server/generator tests (real threads + real sockets) under

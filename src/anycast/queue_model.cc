@@ -66,18 +66,17 @@ QueueInstruments make_queue_instruments(obs::MetricsRegistry& metrics,
   return out;
 }
 
-QueueOutcome evaluate_queue_observed(double offered_qps,
-                                     const QueueConfig& config,
-                                     const QueueInstruments& instruments) {
-  const QueueOutcome out = evaluate_queue(offered_qps, config);
+void record_queue_outcome(const QueueOutcome& outcome,
+                          const QueueInstruments& instruments) {
   if (instruments.utilization != nullptr) {
-    instruments.utilization->observe(out.utilization);
+    instruments.utilization->observe(outcome.utilization);
   }
-  if (instruments.loss != nullptr) instruments.loss->observe(out.loss_fraction);
-  if (instruments.saturated_steps != nullptr && out.utilization >= 1.0) {
+  if (instruments.loss != nullptr) {
+    instruments.loss->observe(outcome.loss_fraction);
+  }
+  if (instruments.saturated_steps != nullptr && outcome.utilization >= 1.0) {
     instruments.saturated_steps->add();
   }
-  return out;
 }
 
 double uplink_loss(double offered_gbps, double uplink_gbps) noexcept {

@@ -52,10 +52,11 @@ struct QueueInstruments {
 QueueInstruments make_queue_instruments(obs::MetricsRegistry& metrics,
                                         char letter);
 
-/// evaluate_queue plus recording into `instruments` (null members skipped).
-QueueOutcome evaluate_queue_observed(double offered_qps,
-                                     const QueueConfig& config,
-                                     const QueueInstruments& instruments);
+/// Records one step's queue outcome into `instruments` (null members
+/// skipped): once per step, whether the outcome was evaluated afresh or
+/// kept from the step before.
+void record_queue_outcome(const QueueOutcome& outcome,
+                          const QueueInstruments& instruments);
 
 /// Additional loss imposed by a shared facility uplink carrying
 /// `offered_gbps` over a link of `uplink_gbps`. Zero when within capacity.

@@ -1,6 +1,9 @@
 #include "anycast/site.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <stdexcept>
 
 #include "obs/runtime.h"
 #include "util/logging.h"
@@ -46,13 +49,40 @@ void AnycastSite::begin_step(double attack_qps, double legit_qps,
                              double shared_loss, net::SimTime now) {
   attack_qps_ = attack_qps;
   legit_qps_ = legit_qps;
-  QueueConfig qc;
-  qc.capacity_qps = spec_.capacity_qps;
-  qc.buffer_packets = spec_.buffer_packets;
-  outcome_ = evaluate_queue_observed(attack_qps + legit_qps, qc,
-                                     telemetry_.queue);
-  arrival_loss_ =
-      1.0 - (1.0 - outcome_.loss_fraction) * (1.0 - std::clamp(shared_loss, 0.0, 1.0));
+  const auto evaluate = [&](QueueOutcome& outcome, double& arrival_loss) {
+    QueueConfig qc;
+    qc.capacity_qps = spec_.capacity_qps;
+    qc.buffer_packets = spec_.buffer_packets;
+    outcome = evaluate_queue(attack_qps + legit_qps, qc);
+    arrival_loss = 1.0 - (1.0 - outcome.loss_fraction) *
+                             (1.0 - std::clamp(shared_loss, 0.0, 1.0));
+  };
+  // Same load, loss and queue parameters as the last step: the kept
+  // outcome is what evaluate would produce.
+  const StepInputs inputs{std::bit_cast<std::uint64_t>(attack_qps),
+                          std::bit_cast<std::uint64_t>(legit_qps),
+                          std::bit_cast<std::uint64_t>(shared_loss),
+                          std::bit_cast<std::uint64_t>(spec_.capacity_qps),
+                          std::bit_cast<std::uint64_t>(spec_.buffer_packets)};
+  if (step_inputs_ != inputs) {
+    evaluate(outcome_, arrival_loss_);
+    step_inputs_ = inputs;
+  }
+#ifndef NDEBUG
+  else {
+    // Debug builds re-evaluate every kept outcome and compare bit for bit.
+    QueueOutcome fresh;
+    double fresh_loss = 0.0;
+    evaluate(fresh, fresh_loss);
+    if (std::memcmp(&fresh, &outcome_, sizeof fresh) != 0 ||
+        std::bit_cast<std::uint64_t>(fresh_loss) !=
+            std::bit_cast<std::uint64_t>(arrival_loss_)) {
+      throw std::logic_error("kept queue outcome of " + label() +
+                             " differs from a re-evaluation");
+    }
+  }
+#endif
+  record_queue_outcome(outcome_, telemetry_.queue);
 
   const bool now_overloaded = outcome_.utilization >= 1.0 || shared_loss > 0.0;
   if (now_overloaded && !overloaded_) {
@@ -126,11 +156,10 @@ int AnycastSite::pick_server(net::Ipv4Addr source) const noexcept {
                    static_cast<std::uint64_t>(site_id_));
 }
 
-ProbeReply AnycastSite::probe(net::Ipv4Addr source, util::Rng& rng) const {
+ProbeReply AnycastSite::probe(int server_index, util::Rng& rng) const {
   ProbeReply reply;
   if (scope_ == SiteScope::kDown) return reply;
 
-  int server_index = pick_server(source);
   double loss = arrival_loss_;
   double delay_ms = outcome_.queue_delay_ms;
 

@@ -114,7 +114,12 @@ class AnycastSite {
   SitePolicyState& policy_state() noexcept { return policy_state_; }
 
   /// Starts a simulation step with the given offered load; `shared_loss`
-  /// is extra loss imposed by the site's facility uplink.
+  /// is extra loss imposed by the site's facility uplink. When the bit
+  /// patterns of the inputs, the capacity and the buffer all equal those
+  /// of the last call, the queue outcome and arrival loss are kept, not
+  /// re-evaluated (debug builds re-evaluate and throw std::logic_error on
+  /// any difference); either way the outcome is recorded into the queue
+  /// instruments and the overload state is updated.
   void begin_step(double attack_qps, double legit_qps, double shared_loss,
                   net::SimTime now);
 
@@ -125,12 +130,17 @@ class AnycastSite {
   /// Loss a query experiences arriving at this step (queue + facility).
   double arrival_loss() const noexcept { return arrival_loss_; }
 
-  /// Delivers one probe from `source` against the step's queue state: a
-  /// down site answers nothing; otherwise the ECMP pick chooses the
-  /// server and concentrate/share mode shapes loss and delay. Draws
-  /// `rng.chance` for loss, then, if answered, one delay-jitter uniform.
-  /// Safe to call concurrently between begin_step()s: it only reads.
-  ProbeReply probe(net::Ipv4Addr source, util::Rng& rng) const;
+  /// The 0-based server the ECMP balancer hashes `source` to. A pure
+  /// function of (source, site), so a caller may keep it.
+  int pick_server(net::Ipv4Addr source) const noexcept;
+
+  /// Delivers one probe to server `server_index` (0-based: the
+  /// pick_server() of its source) against the step's queue state: a down
+  /// site answers nothing; otherwise concentrate/share mode shapes loss
+  /// and delay. Draws `rng.chance` for loss, then, if answered, one
+  /// delay-jitter uniform. Safe to call concurrently between
+  /// begin_step()s: it only reads.
+  ProbeReply probe(int server_index, util::Rng& rng) const;
 
   int server_count() const noexcept { return static_cast<int>(servers_.size()); }
   SiteServer& server(int index_0based) { return servers_[static_cast<std::size_t>(index_0based)]; }
@@ -139,7 +149,17 @@ class AnycastSite {
   }
 
  private:
-  int pick_server(net::Ipv4Addr source) const noexcept;
+  /// The bit patterns of begin_step's inputs and of the queue parameters
+  /// outcome_ was evaluated with.
+  struct StepInputs {
+    std::uint64_t attack_bits = 0;
+    std::uint64_t legit_bits = 0;
+    std::uint64_t shared_loss_bits = 0;
+    std::uint64_t capacity_bits = 0;
+    std::uint64_t buffer_bits = 0;
+
+    bool operator==(const StepInputs&) const = default;
+  };
 
   int site_id_;
   char letter_;
@@ -157,6 +177,9 @@ class AnycastSite {
   double legit_qps_ = 0.0;
   double arrival_loss_ = 0.0;
   QueueOutcome outcome_{};
+  /// What outcome_ and arrival_loss_ were computed from (nullopt: no
+  /// step yet).
+  std::optional<StepInputs> step_inputs_;
   bool overloaded_ = false;
   int concentrate_server_ = 0;  ///< 0-based survivor when concentrating
   util::Rng jitter_rng_;

@@ -275,6 +275,9 @@ SimulationResult SimulationEngine::run() {
   step_offered_.assign(services.size(), 0.0);
   step_served_.assign(services.size(), 0.0);
   step_served_legit_.assign(services.size(), 0.0);
+  site_row_.assign(3 * site_count, 0.0);
+  site_row_bin_ = util::BinnedSeries::npos;
+  site_row_steps_ = 0;
   setup_timeline();
   probe_shards_.clear();
   if (config_.collect_records && !vps_.empty()) {
@@ -459,6 +462,12 @@ SimulationResult SimulationEngine::run() {
       }
     }
   }
+
+  // The last bin's site sums are still in the row.
+  for (const auto& svc : services) flush_site_row(svc, result);
+  // Probing is over: free the shards' per-VP state and record buffers
+  // before cleaning and the caller's analyses raise the peak footprint.
+  probe_shards_.clear();
 
   {
     // Data cleaning (§2.4.1): firmware + hijack rules.
@@ -859,16 +868,20 @@ void SimulationEngine::run_fluid_step(
 
   // Pass 2 (parallel over services): evaluate every site's queue with
   // its facility's shared loss, and record the fluid series. Sites
-  // belong to exactly one service, so site state, per-site series, and
-  // per-service series/gauges are all lane-private. Every series pass 2
-  // writes shares one grid (checked in run()), so the step's bin is
-  // resolved once.
+  // belong to exactly one service, so site state, per-site sums and
+  // series, and per-service series/gauges are all lane-private. Every
+  // series pass 2 writes shares one grid (checked in run()), so the
+  // step's bin is resolved once. Site values are summed in site_row_
+  // and reach their series once per bin, when the step's bin moves on
+  // (and after the last step).
   const double step_s = config_.step.seconds();
   const std::size_t bin = result.service_offered_qps.empty()
                               ? util::BinnedSeries::npos
                               : result.service_offered_qps.front().bin_of(t.ms);
+  const bool new_bin = bin != site_row_bin_;
   pool_->parallel_for(services.size(), [&](std::size_t s) {
     const auto& svc = services[s];
+    if (new_bin) flush_site_row(svc, result);
     const auto& load = current_loads_[s];
     double offered_total = load.unrouted_attack + load.unrouted_legit;
     double served_total = 0.0;
@@ -889,10 +902,10 @@ void SimulationEngine::run_fluid_step(
       served_total += served;
       served_legit += lq * (1.0 - site.arrival_loss());
       failed_legit += lq * site.arrival_loss();
-      const auto idx = static_cast<std::size_t>(id);
-      result.site_served_qps[idx].add_to_bin(bin, served);
-      result.site_offered_attack_qps[idx].add_to_bin(bin, attack);
-      result.site_loss_fraction[idx].add_to_bin(bin, site.arrival_loss());
+      double* row = &site_row_[3 * static_cast<std::size_t>(id)];
+      row[0] += served;
+      row[1] += attack;
+      row[2] += site.arrival_loss();
     }
     result.service_offered_qps[s].add_to_bin(bin, offered_total);
     result.service_served_qps[s].add_to_bin(bin, served_total);
@@ -908,6 +921,27 @@ void SimulationEngine::run_fluid_step(
       g_failed_legit[s]->add(failed_legit * step_s);
     }
   });
+  if (new_bin) {
+    site_row_bin_ = bin;
+    site_row_steps_ = 0;
+  }
+  ++site_row_steps_;
+}
+
+void SimulationEngine::flush_site_row(const anycast::ServiceInfo& svc,
+                                      SimulationResult& result) {
+  if (site_row_steps_ == 0) return;
+  for (const int id : svc.site_ids) {
+    const auto idx = static_cast<std::size_t>(id);
+    double* row = &site_row_[3 * idx];
+    result.site_served_qps[idx].fill_bin(site_row_bin_, site_row_steps_,
+                                         row[0]);
+    result.site_offered_attack_qps[idx].fill_bin(site_row_bin_,
+                                                 site_row_steps_, row[1]);
+    result.site_loss_fraction[idx].fill_bin(site_row_bin_, site_row_steps_,
+                                            row[2]);
+    row[0] = row[1] = row[2] = 0.0;
+  }
 }
 
 void SimulationEngine::record_rssac(net::SimTime now,
@@ -999,8 +1033,9 @@ void SimulationEngine::run_probes(net::SimTime step_begin,
         // First probe time >= step_begin on this VP's schedule.
         std::int64_t offset = (step_begin.ms - phase) % interval;
         if (offset < 0) offset += interval;
-        shard.vps[v - shard.vp_begin].next_ms =
-            step_begin.ms + ((interval - offset) % interval);
+        VpProbeState& state = shard.vps[v - shard.vp_begin];
+        state.next_ms = step_begin.ms + ((interval - offset) % interval);
+        state.key_prefix = probe_key_prefix(config_.seed, s, vps_[v].id);
       }
       shard.scheduled = true;
     }
@@ -1092,8 +1127,15 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
                                   std::vector<atlas::ProbeRecord>& out) {
   // Every random draw for this probe comes from its own stream keyed on
   // (seed, service, VP, time): probe outcomes are a pure function of the
-  // schedule, independent of thread count and execution order.
-  util::Rng rng = probe_rng(config_.seed, service_index, vp.id, when);
+  // schedule, independent of thread count and execution order. The
+  // (seed, service, VP) part of the key is the VP's kept prefix.
+#ifndef NDEBUG
+  if (state.key_prefix !=
+      probe_key_prefix(config_.seed, service_index, vp.id)) {
+    throw std::logic_error("kept probe key prefix differs from a recompute");
+  }
+#endif
+  util::Rng rng = probe_rng(state.key_prefix, when);
   atlas::ProbeRecord rec;
   rec.vp = static_cast<std::uint32_t>(vp.id);
   rec.t_s = static_cast<std::uint32_t>(when.ms / 1000);
@@ -1115,8 +1157,24 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
     return;
   }
   const auto& site = deployment_->site(route.site_id);
+  // The server pick and the base RTT are pure functions of (VP, site):
+  // recompute them only when the VP's catchment moved.
+  if (state.site != route.site_id) {
+    state.site = route.site_id;
+    state.server = site.pick_server(vp.address);
+    state.base_rtt_ms = net::base_rtt_ms(vp.location, site.location());
+  }
+#ifndef NDEBUG
+  else if (state.server != site.pick_server(vp.address) ||
+           std::bit_cast<std::uint64_t>(state.base_rtt_ms) !=
+               std::bit_cast<std::uint64_t>(
+                   net::base_rtt_ms(vp.location, site.location()))) {
+    throw std::logic_error("kept server pick or base RTT differs from a "
+                           "recompute");
+  }
+#endif
 
-  const anycast::ProbeReply reply = site.probe(vp.address, rng);
+  const anycast::ProbeReply reply = site.probe(state.server, rng);
   if (!reply.answered) {
     out.push_back(rec);
     return;
@@ -1132,11 +1190,6 @@ void SimulationEngine::probe_once(const atlas::VantagePoint& vp,
     throw std::logic_error("probe reply table disagrees with the wire path");
   }
 #endif
-  // base_rtt_ms is pure: recompute it only when the VP's catchment moved.
-  if (state.rtt_site != route.site_id) {
-    state.rtt_site = route.site_id;
-    state.base_rtt_ms = net::base_rtt_ms(vp.location, site.location());
-  }
   const double base = state.base_rtt_ms * rng.uniform(0.95, 1.1);
   const double rtt = base + reply.extra_delay_ms;
   if (rtt >= atlas::kTimeoutMs) {

@@ -161,17 +161,24 @@ class SimulationEngine : private playbook::ActuationBackend {
     /// The VP's next probe time (ms) for the shard's service; meaningful
     /// once the shard is `scheduled`.
     std::int64_t next_ms = 0;
-    /// The site `base_rtt_ms` belongs to (-1: none yet).
-    int rtt_site = -1;
-    /// net::base_rtt_ms(vp.location, location of site `rtt_site`).
+    /// probe_key_prefix(seed, shard's service, VP), set with next_ms: a
+    /// probe's stream key is one mix64 of it and the probe time.
+    std::uint64_t key_prefix = 0;
+    /// The site `server` and `base_rtt_ms` belong to (-1: none yet).
+    int site = -1;
+    /// AnycastSite::pick_server(vp.address) at `site` (0-based).
+    int server = 0;
+    /// net::base_rtt_ms(vp.location, location of `site`).
     double base_rtt_ms = 0.0;
   };
 
   /// One unit of parallel probing: one service over one VP range, with
   /// its own output records (merged in task order after the barrier, so
   /// the record stream is identical to the serial service->VP->time
-  /// iteration for any thread count).
-  struct ProbeShard {
+  /// iteration for any thread count). Cache-line aligned: each lane
+  /// grows its shard's `records` every step, and that end pointer must
+  /// not share a line with the neighbouring shard another lane fills.
+  struct alignas(64) ProbeShard {
     int service = -1;
     std::size_t vp_begin = 0;
     std::size_t vp_end = 0;
@@ -252,6 +259,12 @@ class SimulationEngine : private playbook::ActuationBackend {
                       const std::vector<obs::Gauge*>& g_offered,
                       const std::vector<obs::Gauge*>& g_served,
                       const std::vector<obs::Gauge*>& g_failed_legit);
+  /// Writes the sums site_row_ holds for `svc`'s sites into bin
+  /// site_row_bin_ of their three site series, then zeroes them. Pass 2
+  /// calls it per service on a bin change, run() for every service after
+  /// the last step.
+  void flush_site_row(const anycast::ServiceInfo& svc,
+                      SimulationResult& result);
   /// Steps the in-loop resolver population (no-op when the scenario has
   /// no resolver_profile): builds the letters' answered fractions and
   /// offered-weighted RTTs from the fluid step just completed, applies
@@ -388,6 +401,13 @@ class SimulationEngine : private playbook::ActuationBackend {
   std::vector<double> step_offered_;
   std::vector<double> step_served_;
   std::vector<double> step_served_legit_;
+  /// Fluid pass 2's sums for the bin being filled, three per site id
+  /// (served q/s, offered attack q/s, arrival loss) side by side, so a
+  /// step writes one dense row instead of three series per site.
+  std::vector<double> site_row_;
+  /// The bin site_row_ sums and how many steps it has summed so far.
+  std::size_t site_row_bin_ = util::BinnedSeries::npos;
+  std::uint64_t site_row_steps_ = 0;
 };
 
 }  // namespace rootstress::sim

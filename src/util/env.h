@@ -1,5 +1,6 @@
-// Integer environment knobs (ROOTSTRESS_THREADS, ROOTSTRESS_VPS,
-// ROOTSTRESS_TRACE_CAP) share one parse rule.
+// Integer knobs share one parse rule: environment variables
+// (ROOTSTRESS_THREADS, ROOTSTRESS_VPS, ROOTSTRESS_TRACE_CAP) and the
+// examples' command-line integers.
 #pragma once
 
 #include <charconv>
@@ -11,15 +12,12 @@
 
 namespace rootstress::util {
 
-/// The value of environment variable `name` when the whole string is a
-/// decimal integer within [min, max]; nullopt otherwise (unset, empty,
-/// "3x", out of range), so the caller falls back to its default.
-inline std::optional<std::int64_t> env_integer(const char* name,
-                                               std::int64_t min,
-                                               std::int64_t max) noexcept {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return std::nullopt;
-  const std::string_view text(env);
+/// `text` as an integer when the whole string is a decimal integer (an
+/// optional leading '-', no '+', no spaces) within [min, max]; nullopt
+/// otherwise ("", "3x", " 3", out of range, past int64).
+inline std::optional<std::int64_t> parse_integer(std::string_view text,
+                                                 std::int64_t min,
+                                                 std::int64_t max) noexcept {
   std::int64_t value = 0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
@@ -28,6 +26,16 @@ inline std::optional<std::int64_t> env_integer(const char* name,
   }
   if (value < min || value > max) return std::nullopt;
   return value;
+}
+
+/// parse_integer() of environment variable `name`; nullopt when it is
+/// unset or does not parse, so the caller falls back to its default.
+inline std::optional<std::int64_t> env_integer(const char* name,
+                                               std::int64_t min,
+                                               std::int64_t max) noexcept {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  return parse_integer(env, min, max);
 }
 
 }  // namespace rootstress::util

@@ -5,55 +5,12 @@
 
 namespace rootstress::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t value) noexcept {
-  return splitmix64(value);
-}
-
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
-Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t sm = seed;
-  for (auto& s : state_) s = splitmix64(sm);
-}
-
 Rng Rng::fork(std::uint64_t tag) const noexcept {
   // Combine current state with the tag; the fork does not advance *this.
   std::uint64_t sm = state_[0] ^ rotl(state_[2], 17) ^ mix64(tag);
   Rng child(0);
   for (auto& s : child.state_) s = splitmix64(sm);
   return child;
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Rng::below(std::uint64_t n) noexcept {
@@ -75,12 +32,6 @@ std::uint64_t Rng::below(std::uint64_t n) noexcept {
 std::int64_t Rng::between(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(below(span));
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal(double mean, double stddev) noexcept {

@@ -5,6 +5,7 @@
 // rates in 10-minute bins (Fig 15). BinnedSeries is the shared container.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,17 @@ class BinnedSeries {
     if (i >= counts_.size()) return;
     ++counts_[i];
     sums_[i] += value;
+  }
+
+  /// Fills empty bin `i` (npos is ignored) with `count` observations that
+  /// sum to `sum`. Equal to `count` add_to_bin() calls when `sum` was
+  /// accumulated from 0.0 in the same order: a writer that sums a bin on
+  /// its own side writes it once. Debug builds assert the bin was empty.
+  void fill_bin(std::size_t i, std::uint64_t count, double sum) noexcept {
+    if (i >= counts_.size()) return;
+    assert(counts_[i] == 0 && sums_[i] == 0.0);
+    counts_[i] = count;
+    sums_[i] = sum;
   }
 
   /// Increments the count of the bin containing `t_ms` without storing a

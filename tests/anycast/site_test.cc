@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "dns/chaos.h"
 #include "dns/wire.h"
+#include "obs/runtime.h"
 
 namespace rootstress::anycast {
 namespace {
@@ -39,7 +45,7 @@ TEST(Site, IdleSiteAnswersEveryProbe) {
   const auto query = dns::make_chaos_query(0x99);
   for (int i = 0; i < 200; ++i) {
     const net::Ipv4Addr source(static_cast<std::uint32_t>(i));
-    const auto reply = site.probe(source, rng);
+    const auto reply = site.probe(site.pick_server(source), rng);
     ASSERT_TRUE(reply.answered);
     ASSERT_GE(reply.server, 1);
     ASSERT_LE(reply.server, 3);
@@ -64,7 +70,7 @@ TEST(Site, DownSiteNeverAnswers) {
   site.begin_step(0.0, 1000.0, 0.0, net::SimTime(0));
   util::Rng rng(4);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(site.probe(net::Ipv4Addr(1), rng).answered);
+    EXPECT_FALSE(site.probe(site.pick_server(net::Ipv4Addr(1)), rng).answered);
   }
 }
 
@@ -77,8 +83,8 @@ TEST(Site, OverloadLossMatchesQueueModel) {
   int answered = 0;
   constexpr int kProbes = 4000;
   for (int i = 0; i < kProbes; ++i) {
-    if (site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 97)), rng)
-            .answered) {
+    const net::Ipv4Addr source(static_cast<std::uint32_t>(i * 97));
+    if (site.probe(site.pick_server(source), rng).answered) {
       ++answered;
     }
   }
@@ -93,8 +99,8 @@ TEST(Site, ConcentrateModeUsesOneServer) {
   util::Rng rng(6);
   std::set<int> servers_seen;
   for (int i = 0; i < 3000; ++i) {
-    const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 131)), rng);
+    const net::Ipv4Addr source(static_cast<std::uint32_t>(i * 131));
+    const auto reply = site.probe(site.pick_server(source), rng);
     if (reply.answered) servers_seen.insert(reply.server);
   }
   EXPECT_EQ(servers_seen.size(), 1u);
@@ -106,8 +112,8 @@ TEST(Site, ShareModeKeepsAllServersVisible) {
   util::Rng rng(7);
   std::set<int> servers_seen;
   for (int i = 0; i < 5000; ++i) {
-    const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i * 131)), rng);
+    const net::Ipv4Addr source(static_cast<std::uint32_t>(i * 131));
+    const auto reply = site.probe(site.pick_server(source), rng);
     if (reply.answered) servers_seen.insert(reply.server);
   }
   EXPECT_EQ(servers_seen.size(), 3u);
@@ -119,8 +125,8 @@ TEST(Site, BufferbloatShowsUpInProbeDelay) {
   util::Rng rng(8);
   double max_delay = 0.0;
   for (int i = 0; i < 500; ++i) {
-    const auto reply =
-        site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), rng);
+    const net::Ipv4Addr source(static_cast<std::uint32_t>(i));
+    const auto reply = site.probe(site.pick_server(source), rng);
     if (reply.answered) max_delay = std::max(max_delay, reply.extra_delay_ms);
   }
   // Full buffer = 150e3/100e3 = 1.5 s.
@@ -134,12 +140,122 @@ TEST(Site, FacilityLossCompounds) {
   util::Rng rng(9);
   int answered = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (site.probe(net::Ipv4Addr(static_cast<std::uint32_t>(i)), rng)
-            .answered) {
+    const net::Ipv4Addr source(static_cast<std::uint32_t>(i));
+    if (site.probe(site.pick_server(source), rng).answered) {
       ++answered;
     }
   }
   EXPECT_LT(answered, 200);
+}
+
+TEST(Site, PickServerIsTheEcmpPick) {
+  // Probers keep a VP's pick per site; it must stay the balancer's hash.
+  for (const int servers : {1, 2, 3, 7}) {
+    for (const int site_id : {0, 5, 313}) {
+      util::Rng rng(11);
+      const AnycastSite site(site_id, 'K',
+                             spec_with(ServerStressMode::kShareCongestion,
+                                       servers),
+                             net::GeoPoint{52, 4}, 7, -1,
+                             StressPolicy::absorber(), rng);
+      for (std::uint32_t i = 0; i < 500; ++i) {
+        const net::Ipv4Addr source(i * 2654435761u);
+        ASSERT_EQ(site.pick_server(source),
+                  ecmp_pick(source, servers,
+                            static_cast<std::uint64_t>(site_id)))
+            << servers << " servers, site " << site_id << ", source " << i;
+      }
+    }
+  }
+}
+
+/// A site wired to `runtime` the way the deployment wires every site.
+void attach(AnycastSite& site, obs::Runtime& runtime) {
+  SiteTelemetry telemetry;
+  telemetry.runtime = &runtime;
+  telemetry.overload_onsets = &runtime.metrics().counter("onsets");
+  telemetry.queue = make_queue_instruments(runtime.metrics(), site.letter());
+  site.attach_obs(telemetry);
+}
+
+TEST(Site, RepeatedInputsReuseOutcome) {
+  // One site steps through repeated and changing inputs; after every step
+  // it must look exactly like a fresh site given only that step. The
+  // fresh sites share one runtime, so its queue instruments hold what
+  // one fresh evaluation per step records.
+  struct Step {
+    double attack, legit, shared_loss, scale_capacity_by;
+  };
+  const std::vector<Step> steps = {
+      {0.0, 1000.0, 0.0, 1.0},   {0.0, 1000.0, 0.0, 1.0},
+      {400e3, 0.0, 0.0, 1.0},    {400e3, 0.0, 0.0, 1.0},
+      {400e3, 0.0, 0.0, 8.0},    {400e3, 0.0, 0.0, 1.0},
+      {50e3, 10.0, 0.3, 1.0},    {50e3, 10.0, 0.3, 1.0},
+      {50e3, 10.0, 0.0, 1.0},    {0.0, 1000.0, 0.0, 0.125},
+      {0.0, 1000.0, 0.0, 1.0},   {900e3, 0.0, 0.0, 1.0},
+  };
+  obs::Runtime kept_runtime(16);
+  obs::Runtime fresh_runtime(16);
+  auto kept = make_site(ServerStressMode::kShareCongestion);
+  attach(kept, kept_runtime);
+  double scale = 1.0;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step& step = steps[i];
+    if (step.scale_capacity_by != 1.0) {
+      // Capacity is part of the kept outcome's key: the next step must
+      // evaluate afresh.
+      kept.scale_capacity(step.scale_capacity_by);
+      scale *= step.scale_capacity_by;
+    }
+    kept.begin_step(step.attack, step.legit, step.shared_loss,
+                    net::SimTime(0));
+
+    auto fresh = make_site(ServerStressMode::kShareCongestion);
+    attach(fresh, fresh_runtime);
+    if (scale != 1.0) fresh.scale_capacity(scale);
+    fresh.begin_step(step.attack, step.legit, step.shared_loss,
+                     net::SimTime(0));
+
+    EXPECT_EQ(std::memcmp(&kept.outcome(), &fresh.outcome(),
+                          sizeof(QueueOutcome)),
+              0)
+        << "step " << i;
+    EXPECT_EQ(kept.arrival_loss(), fresh.arrival_loss()) << "step " << i;
+    // Share mode skews a probe's loss and delay by the server's weight
+    // only while the site is overloaded, so equal replies on every
+    // server from equal streams mean equal overload state.
+    for (int server = 0; server < kept.server_count(); ++server) {
+      util::Rng a(100 + i);
+      util::Rng b(100 + i);
+      for (int probe = 0; probe < 20; ++probe) {
+        const ProbeReply x = kept.probe(server, a);
+        const ProbeReply y = fresh.probe(server, b);
+        ASSERT_EQ(x.answered, y.answered) << "step " << i;
+        ASSERT_EQ(x.server, y.server) << "step " << i;
+        ASSERT_EQ(x.extra_delay_ms, y.extra_delay_ms) << "step " << i;
+      }
+    }
+  }
+
+  const auto histograms = [](obs::Runtime& runtime) {
+    const QueueInstruments queue =
+        make_queue_instruments(runtime.metrics(), 'K');
+    return std::pair{queue.utilization->snapshot(), queue.loss->snapshot()};
+  };
+  const auto [kept_rho, kept_loss] = histograms(kept_runtime);
+  const auto [fresh_rho, fresh_loss] = histograms(fresh_runtime);
+  EXPECT_EQ(kept_rho.total(), steps.size());
+  EXPECT_EQ(kept_loss.total(), steps.size());
+  for (std::size_t b = 0; b < kept_rho.bin_count(); ++b) {
+    EXPECT_EQ(kept_rho.bin(b), fresh_rho.bin(b)) << "utilization bin " << b;
+  }
+  for (std::size_t b = 0; b < kept_loss.bin_count(); ++b) {
+    EXPECT_EQ(kept_loss.bin(b), fresh_loss.bin(b)) << "loss bin " << b;
+  }
+  EXPECT_EQ(make_queue_instruments(kept_runtime.metrics(), 'K')
+                .saturated_steps->value(),
+            make_queue_instruments(fresh_runtime.metrics(), 'K')
+                .saturated_steps->value());
 }
 
 }  // namespace

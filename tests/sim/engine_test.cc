@@ -344,5 +344,65 @@ TEST(Engine, MaintenanceFlapsRecover) {
   EXPECT_EQ(unrestored, 0);
 }
 
+/// FNV-1a over the record stream and the seven fluid series (every bin's
+/// count and the bit pattern of its sum).
+std::uint64_t replay_digest(const SimulationResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto fold = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  static_assert(sizeof(atlas::ProbeRecord) == 16);
+  fold(result.records.data(),
+       result.records.size() * sizeof(atlas::ProbeRecord));
+  for (const auto* family :
+       {&result.service_offered_qps, &result.service_served_qps,
+        &result.service_served_legit_qps, &result.service_failed_legit_qps,
+        &result.site_served_qps, &result.site_offered_attack_qps,
+        &result.site_loss_fraction}) {
+    for (const util::BinnedSeries& series : *family) {
+      for (std::size_t i = 0; i < series.bin_count(); ++i) {
+        const std::uint64_t count = series.count(i);
+        const double sum = series.sum(i);
+        fold(&count, sizeof count);
+        fold(&sum, sizeof sum);
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Engine, CompanionReplayBitIdenticalAcrossRunsAndLanes) {
+  // The benchmark's companion replay shape: november_2015 at 20 VPs over
+  // both events. Probes and fluid pass 2 reuse per-VP and per-site state
+  // from step to step; a second run in the same process, a traced run
+  // and a 4-lane run must all write the same records and series, and
+  // those must equal the digest pinned when every step recomputed them.
+  const auto config = [](int threads, bool telemetry) {
+    return ScenarioBuilder::november_2015()
+        .seed(1)
+        .vp_count(20)
+        .threads(threads)
+        .telemetry(telemetry)
+        .collect_records(true)
+        .collect_rssac(true)
+        .enable_collector(true)
+        .build();
+  };
+  std::vector<std::uint64_t> digests;
+  for (const auto& [threads, telemetry] :
+       {std::pair{1, false}, std::pair{1, true}, std::pair{4, false}}) {
+    SimulationEngine engine(config(threads, telemetry));
+    const auto result = engine.run();
+    ASSERT_FALSE(result.records.empty());
+    digests.push_back(replay_digest(result));
+  }
+  EXPECT_EQ(digests[0], digests[1]) << "second run in one process, traced";
+  EXPECT_EQ(digests[0], digests[2]) << "4 lanes";
+  EXPECT_EQ(digests[0], 0x5137c21663a57377ull) << std::hex << digests[0];
+}
+
 }  // namespace
 }  // namespace rootstress::sim

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "util/rng.h"
+
 namespace rootstress::util {
 namespace {
 
@@ -28,6 +33,35 @@ TEST(BinnedSeries, IgnoresOutOfRange) {
   s.add(1200, 1.0);
   EXPECT_EQ(s.count(0), 0u);
   EXPECT_EQ(s.count(1), 0u);
+}
+
+TEST(BinnedSeries, FillBinEqualsSequentialAdds) {
+  // Values of mixed sign and magnitude, summed in order from 0.0 the way
+  // the engine sums a bin's steps before writing the bin once.
+  util::Rng rng(77);
+  for (const std::size_t n : {1u, 2u, 3u, 9u, 10u, 240u}) {
+    BinnedSeries added(0, 600000, 4);
+    BinnedSeries filled(0, 600000, 4);
+    double sum = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double value =
+          (k % 3 == 0 ? -1.0 : 1.0) * rng.uniform() *
+          (k % 2 == 0 ? 1e-3 : 1e6);
+      added.add_to_bin(2, value);
+      sum += value;
+    }
+    filled.fill_bin(2, n, sum);
+    filled.fill_bin(BinnedSeries::npos, n, sum);  // ignored like add_to_bin
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(filled.count(i), added.count(i)) << n << " values, bin " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(filled.sum(i)),
+                std::bit_cast<std::uint64_t>(added.sum(i)))
+          << n << " values, bin " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(filled.mean(i)),
+                std::bit_cast<std::uint64_t>(added.mean(i)))
+          << n << " values, bin " << i;
+    }
+  }
 }
 
 TEST(BinnedSeries, BinOf) {
