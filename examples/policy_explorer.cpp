@@ -4,21 +4,32 @@
 //
 // Usage:
 //   ./build/examples/policy_explorer [s1 s2 S3]
-// (defaults to the paper's s1 = s2 = 1, S3 = 10)
+// (defaults to the paper's s1 = s2 = 1, S3 = 10). Give all three or none;
+// each capacity must be a number in [0, 1e6]. Anything else prints the
+// usage line and exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "rootstress.h"
+#include "util/env.h"
 
 using namespace rootstress;
 
 int main(int argc, char** argv) {
   core::PolicyScenario base;
-  if (argc >= 4) {
-    base.s1 = std::atof(argv[1]);
-    base.s2 = std::atof(argv[2]);
-    base.S3 = std::atof(argv[3]);
+  if (argc != 1) {
+    const auto s1 = argc == 4 ? util::parse_number(argv[1], 0.0, 1e6)
+                              : std::nullopt;
+    const auto s2 = s1 ? util::parse_number(argv[2], 0.0, 1e6) : std::nullopt;
+    const auto s3 = s2 ? util::parse_number(argv[3], 0.0, 1e6) : std::nullopt;
+    if (!s3) {
+      std::fprintf(stderr, "usage: policy_explorer [s1 s2 S3]\n");
+      return 2;
+    }
+    base.s1 = *s1;
+    base.s2 = *s2;
+    base.S3 = *s3;
   }
   std::printf("capacities: s1=%.2f s2=%.2f S3=%.2f\n", base.s1, base.s2,
               base.S3);

@@ -6,7 +6,8 @@
 //       [telemetry.json]
 // Defaults: 800 VPs, 5 Mq/s per attacked letter. Expect a few seconds at
 // the defaults and about 10 s at the paper's 9363 VPs. vp_count must be a
-// whole integer >= 1; anything else prints the usage line and exits 2.
+// whole integer >= 1 and attack_mqps a number in [0, 1000]; anything else
+// prints the usage line and exits 2.
 // When a third argument is given, a full Markdown incident report is
 // written there; a fourth argument receives the run's telemetry snapshot
 // as JSON. After the phase table the program prints the run's wall time
@@ -32,14 +33,16 @@ int main(int argc, char** argv) {
       argc > 1 ? util::parse_integer(argv[1], 1,
                                      std::numeric_limits<int>::max())
                : std::optional<std::int64_t>(800);
-  if (!vps) {
+  const auto mqps = argc > 2 ? util::parse_number(argv[2], 0.0, 1000.0)
+                             : std::optional<double>(5.0);
+  if (!vps || !mqps) {
     std::fprintf(stderr,
                  "usage: root_ddos_replay [vp_count] [attack_mqps] "
                  "[report.md] [telemetry.json]\n");
     return 2;
   }
   const int vp_count = static_cast<int>(*vps);
-  const double attack_mqps = argc > 2 ? std::atof(argv[2]) : 5.0;
+  const double attack_mqps = *mqps;
 
   std::printf("Replaying the 2015 Root DNS events: %d VPs, %.1f Mq/s per "
               "attacked letter, 48 simulated hours...\n",

@@ -13,18 +13,26 @@
 // --pulse PERIOD_S,DUTY (square pulse-wave envelope instead of constant
 // rate), --qname NAME, --quick (tiny smoke run used by scripts/check.sh).
 //
+// Numeric values parse strictly (the whole argument, in range: --qps
+// [1, 1e7], --duration-s [0, 86400], --capacity [0, 1e9], --pulse period
+// [0, 86400] and duty [0, 1], --workers [1, 256], --batch [1, 1024]); a
+// bad value prints the usage text and exits 2.
+//
 // Exit status: nonzero when the run answers nothing (a dead loop), so CI
 // smoke invocations fail loudly.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "fault/schedule.h"
 #include "netio/calibration.h"
 #include "netio/generator.h"
 #include "netio/server.h"
+#include "util/env.h"
+#include "util/parallel.h"
 
 using namespace rootstress;
 
@@ -61,13 +69,31 @@ void usage() {
       "  --quick          300ms low-rate smoke run");
 }
 
+// sendmmsg/recvmmsg take at most this many messages per call (the
+// kernel's UIO_MAXIOV).
+constexpr std::int64_t kMaxBatch = 1024;
+
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
+    // The next argument as a number in [min, max]; prints the usage text
+    // when it is missing or does not parse.
+    auto value = [&](double* out, double min, double max) {
+      const auto v =
+          i + 1 < argc ? util::parse_number(argv[++i], min, max) : std::nullopt;
+      if (!v) {
+        usage();
+        return false;
+      }
+      *out = *v;
       return true;
+    };
+    auto integer = [&](std::int64_t min, std::int64_t max)
+        -> std::optional<std::int64_t> {
+      const auto v = i + 1 < argc ? util::parse_integer(argv[++i], min, max)
+                                  : std::nullopt;
+      if (!v) usage();
+      return v;
     };
     if (arg == "--duel") {
       opt.mode = Options::Mode::kDuel;
@@ -82,19 +108,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.mode = arg == "--serve" ? Options::Mode::kServe
                                   : Options::Mode::kTarget;
     } else if (arg == "--qps") {
-      if (!value(&opt.qps)) return false;
+      if (!value(&opt.qps, 1.0, 1e7)) return false;
     } else if (arg == "--workers") {
-      double v;
-      if (!value(&v)) return false;
-      opt.workers = static_cast<int>(v);
+      const auto v = integer(1, util::kMaxThreads);
+      if (!v) return false;
+      opt.workers = static_cast<int>(*v);
     } else if (arg == "--duration-s") {
-      if (!value(&opt.duration_s)) return false;
+      if (!value(&opt.duration_s, 0.0, 86400.0)) return false;
     } else if (arg == "--batch") {
-      double v;
-      if (!value(&v)) return false;
-      opt.batch = static_cast<std::size_t>(v);
+      const auto v = integer(1, kMaxBatch);
+      if (!v) return false;
+      opt.batch = static_cast<std::size_t>(*v);
     } else if (arg == "--capacity") {
-      if (!value(&opt.capacity_qps)) return false;
+      if (!value(&opt.capacity_qps, 0.0, 1e9)) return false;
     } else if (arg == "--rrl") {
       opt.rrl = true;
     } else if (arg == "--portable") {
@@ -106,11 +132,21 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.qname = argv[++i];
     } else if (arg == "--pulse") {
       if (i + 1 >= argc) return false;
-      const char* spec = argv[++i];
-      const char* comma = std::strchr(spec, ',');
-      if (comma == nullptr) return false;
-      opt.pulse_period_s = std::atof(spec);
-      opt.pulse_duty = std::atof(comma + 1);
+      const std::string_view spec = argv[++i];
+      const auto comma = spec.find(',');
+      const auto period =
+          comma == std::string_view::npos
+              ? std::nullopt
+              : util::parse_number(spec.substr(0, comma), 0.0, 86400.0);
+      const auto duty =
+          period ? util::parse_number(spec.substr(comma + 1), 0.0, 1.0)
+                 : std::nullopt;
+      if (!duty) {
+        usage();
+        return false;
+      }
+      opt.pulse_period_s = *period;
+      opt.pulse_duty = *duty;
     } else {
       usage();
       return false;

@@ -47,7 +47,11 @@
 #      cell must show incremental BGP >= 5x faster than full recompute
 #      with bit-identical RouteChange/catchment output, plus records/sec
 #      at three growing populations (ROOTSTRESS_SCALE_FULL=1 runs the
-#      full population ladder instead), writing BENCH_scale.json.
+#      full population ladder instead), writing BENCH_scale.json. The
+#      ratio reads about 15-21x since the full recompute's fixpoint moved
+#      to a bucket queue over grouped links (it read 52-57x with the heap);
+#      the full path got faster, not the incremental one slower, and the
+#      5x bar is unchanged.
 #   9. Distributed gate: bench_distributed (subprocess fabric digests at
 #      1 and 4 workers must be bit-identical to in-process, a killed
 #      worker's cells must be re-leased to completion, coordination

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "obs/runtime.h"
@@ -129,7 +130,7 @@ RootDeployment::RootDeployment(const Config& config) {
         // at the local IXP (AMS-IX-style): regional transit networks get
         // one-hop peer routes here, so displaced catchments gravitate to
         // the hub, as the paper observes for K-AMS (Fig 10).
-        const auto tier1 = topology_.tier1_indices();
+        const std::span<const int> tier1 = topology_.tier1_indices();
         for (int t = 0; t < 2 && !tier1.empty(); ++t) {
           topology_.add_transit(tier1[rng.below(tier1.size())], host_as);
         }

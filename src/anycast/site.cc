@@ -112,21 +112,29 @@ bool AnycastSite::transition_scope(SiteScope scope, net::SimTime now) {
   // move away from it (or from local-only back to global) is a restore.
   const bool withdrawing =
       static_cast<int>(scope) > static_cast<int>(previous);
-  const std::string detail = std::string(scope_name(previous)) + " -> " +
-                             scope_name(scope);
+  // The label and detail strings feed only the log line and the trace
+  // event; build them only when one of the two will be recorded.
+  const bool recorded =
+      telemetry_.runtime != nullptr ||
+      util::log_enabled(withdrawing ? util::LogLevel::kWarn
+                                    : util::LogLevel::kInfo);
+  const std::string name = recorded ? label() : std::string();
+  const std::string detail =
+      recorded ? std::string(scope_name(previous)) + " -> " + scope_name(scope)
+               : std::string();
   if (withdrawing) {
-    RS_LOG_WARN << label() << " withdrawing (" << detail << ") at "
+    RS_LOG_WARN << name << " withdrawing (" << detail << ") at "
                 << now.to_string();
     if (telemetry_.withdrawals != nullptr) telemetry_.withdrawals->add();
     obs::emit_event(telemetry_.runtime, obs::TraceEventType::kSiteWithdraw,
-                    now, letter_, label(), detail,
+                    now, letter_, name, detail,
                     static_cast<double>(site_id_));
   } else {
-    RS_LOG_INFO << label() << " restoring (" << detail << ") at "
+    RS_LOG_INFO << name << " restoring (" << detail << ") at "
                 << now.to_string();
     if (telemetry_.restores != nullptr) telemetry_.restores->add();
     obs::emit_event(telemetry_.runtime, obs::TraceEventType::kSiteRestore,
-                    now, letter_, label(), detail,
+                    now, letter_, name, detail,
                     static_cast<double>(site_id_));
   }
   return true;

@@ -1,7 +1,7 @@
 #include "bgp/rib.h"
 
-#include <deque>
-#include <queue>
+#include <algorithm>
+#include <cstdint>
 
 namespace rootstress::bgp {
 
@@ -22,9 +22,11 @@ RoutingState compute_routing_state(const AsTopology& topo,
   std::vector<RouteChoice>& best = state.best;
 
   // --- Stage 1: customer routes, BFS up transit edges from global origins.
-  // `frontier` holds ASes whose customer-class route may still export
-  // upward. Origins of local-only sites are handled separately below.
-  std::deque<int> frontier;
+  // `frontier` (a FIFO read from `head`) holds ASes whose customer-class
+  // route may still export upward. Origins of local-only sites are
+  // handled separately below.
+  std::vector<int> frontier;
+  frontier.reserve(static_cast<std::size_t>(n));
   for (const auto& origin : origins) {
     if (!origin.announced || origin.local_only) continue;
     const auto idx = topo.index_of(origin.host_as);
@@ -32,24 +34,22 @@ RoutingState compute_routing_state(const AsTopology& topo,
     // Prepend hops count into the seed path length, so every path through
     // this origin looks `prepend` hops longer than it is.
     RouteChoice self{RouteClass::kOrigin, origin.site_id, origin.prepend,
-                     topo.info(*idx).asn};
+                     origin.host_as};
     if (better(self, best[*idx])) {
       best[*idx] = self;
       frontier.push_back(*idx);
     }
   }
-  while (!frontier.empty()) {
-    const int u = frontier.front();
-    frontier.pop_front();
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const int u = frontier[head];
     const RouteChoice ru = best[u];
     if (ru.cls != RouteClass::kOrigin && ru.cls != RouteClass::kCustomer) {
       continue;  // superseded since enqueue
     }
-    for (const Link& link : topo.links(u)) {
-      if (link.rel != Rel::kProvider) continue;  // export up only
-      RouteChoice cand{RouteClass::kCustomer, ru.site_id,
-                       static_cast<std::uint16_t>(ru.path_len + 1),
-                       topo.info(u).asn};
+    const RouteChoice cand{RouteClass::kCustomer, ru.site_id,
+                           static_cast<std::uint16_t>(ru.path_len + 1),
+                           topo.info(u).asn};
+    for (const Link& link : topo.providers(u)) {  // export up only
       if (better(cand, best[link.neighbor])) {
         best[link.neighbor] = cand;
         frontier.push_back(link.neighbor);
@@ -69,11 +69,10 @@ RoutingState compute_routing_state(const AsTopology& topo,
     if (ru.cls != RouteClass::kOrigin && ru.cls != RouteClass::kCustomer) {
       continue;
     }
-    for (const Link& link : topo.links(u)) {
-      if (link.rel != Rel::kPeer) continue;
-      RouteChoice cand{RouteClass::kPeer, ru.site_id,
-                       static_cast<std::uint16_t>(ru.path_len + 1),
-                       topo.info(u).asn};
+    const RouteChoice cand{RouteClass::kPeer, ru.site_id,
+                           static_cast<std::uint16_t>(ru.path_len + 1),
+                           topo.info(u).asn};
+    for (const Link& link : topo.peers(u)) {
       if (better(cand, peer_candidates[link.neighbor])) {
         peer_candidates[link.neighbor] = cand;
       }
@@ -89,6 +88,10 @@ RoutingState compute_routing_state(const AsTopology& topo,
   // neighbors receive the route (classed by their relationship to the
   // host) but never re-export it. `scoped` marks ASes whose current best
   // route is scope-limited so stage 3 will not propagate it onward.
+  // Local-site announcements go to IXP peers and customers only — not to
+  // transit providers. (Handing a NO_EXPORT route to a transit provider
+  // would make that provider's best path unexportable and hide the
+  // service from its whole customer cone.)
   state.scoped.assign(n, 0);
   std::vector<char>& scoped = state.scoped;
   for (const auto& origin : origins) {
@@ -96,56 +99,74 @@ RoutingState compute_routing_state(const AsTopology& topo,
     const auto idx = topo.index_of(origin.host_as);
     if (!idx) continue;
     RouteChoice self{RouteClass::kOrigin, origin.site_id, origin.prepend,
-                     topo.info(*idx).asn};
+                     origin.host_as};
     if (better(self, best[*idx])) {
       best[*idx] = self;
       scoped[*idx] = 1;
     }
-    for (const Link& link : topo.links(*idx)) {
-      // Local-site announcements go to IXP peers and customers only —
-      // not to transit providers. (Handing a NO_EXPORT route to a transit
-      // provider would make that provider's best path unexportable and
-      // hide the service from its whole customer cone.)
-      if (link.rel == Rel::kProvider) continue;
-      const RouteClass cls = link.rel == Rel::kCustomer ? RouteClass::kProvider
-                                                        : RouteClass::kPeer;
-      RouteChoice cand{cls, origin.site_id,
-                       static_cast<std::uint16_t>(1 + origin.prepend),
-                       topo.info(*idx).asn};
-      if (better(cand, best[link.neighbor])) {
-        best[link.neighbor] = cand;
-        scoped[link.neighbor] = 1;
+    const auto offer = [&](std::span<const Link> group, RouteClass cls) {
+      const RouteChoice cand{cls, origin.site_id,
+                             static_cast<std::uint16_t>(1 + origin.prepend),
+                             origin.host_as};
+      for (const Link& link : group) {
+        if (better(cand, best[link.neighbor])) {
+          best[link.neighbor] = cand;
+          scoped[link.neighbor] = 1;
+        }
       }
-    }
+    };
+    offer(topo.peers(*idx), RouteClass::kPeer);
+    offer(topo.customers(*idx), RouteClass::kProvider);
   }
 
   // --- Stage 3: provider routes, shortest-first down transit edges from
-  // every routed AS. Dijkstra-style so parents settle before children.
-  using Item = std::pair<std::uint16_t, int>;  // (candidate child len, parent)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+  // every routed AS, through a bucket queue over path length. An AS whose
+  // route has length L offers L + 1 to its customers, so every export
+  // lands in the next bucket, and visiting the buckets in length order
+  // settles each AS before it exports (the order Dijkstra would use).
+  // Within a bucket the order cannot matter: nothing a bucket exports can
+  // change a route of its own length.
+  //
+  // The seeds are every routed AS whose route may be re-exported, ordered
+  // by length. Their routes are customer, peer or origin routes, which no
+  // provider route can displace, so their lengths hold while stage 3 runs.
+  std::vector<int> seeds;
   for (int u = 0; u < n; ++u) {
-    if (best[u].reachable() && !scoped[u]) {
-      queue.emplace(static_cast<std::uint16_t>(best[u].path_len + 1), u);
-    }
+    if (best[u].reachable() && !scoped[u]) seeds.push_back(u);
   }
-  while (!queue.empty()) {
-    const auto [child_len, u] = queue.top();
-    queue.pop();
-    const RouteChoice ru = best[u];
-    if (!ru.reachable() || ru.path_len + 1 != child_len || scoped[u]) {
-      continue;  // stale entry, or a scope-limited route
+  std::stable_sort(seeds.begin(), seeds.end(), [&](int a, int b) {
+    return best[a].path_len < best[b].path_len;
+  });
+  std::vector<int> bucket;  // exporters whose customers get `child_len`
+  std::vector<int> next;    // customers that took a route this bucket
+  std::size_t seed = 0;
+  std::uint32_t child_len = 0;
+  while (seed < seeds.size() || !bucket.empty()) {
+    if (bucket.empty()) child_len = best[seeds[seed]].path_len + 1u;
+    while (seed < seeds.size() &&
+           best[seeds[seed]].path_len + 1u == child_len) {
+      bucket.push_back(seeds[seed++]);
     }
-    for (const Link& link : topo.links(u)) {
-      if (link.rel != Rel::kCustomer) continue;  // export down only
-      RouteChoice cand{RouteClass::kProvider, ru.site_id, child_len,
-                       topo.info(u).asn};
-      if (better(cand, best[link.neighbor])) {
-        best[link.neighbor] = cand;
-        scoped[link.neighbor] = 0;  // now holds a globally exportable route
-        queue.emplace(static_cast<std::uint16_t>(child_len + 1),
-                      link.neighbor);
+    // Every AS here holds an exportable route of length child_len - 1:
+    // stage 3 never scopes a route, and an AS taken into `next` can only be
+    // improved again within the same bucket, at the same length. (An AS
+    // improved twice in one bucket is visited twice; the second visit
+    // offers what its customers already hold.)
+    for (const int u : bucket) {
+      const RouteChoice cand{RouteClass::kProvider, best[u].site_id,
+                             static_cast<std::uint16_t>(child_len),
+                             topo.info(u).asn};
+      for (const Link& link : topo.customers(u)) {  // export down only
+        if (better(cand, best[link.neighbor])) {
+          best[link.neighbor] = cand;
+          scoped[link.neighbor] = 0;  // now holds a globally exportable route
+          next.push_back(link.neighbor);
+        }
       }
     }
+    bucket.swap(next);
+    next.clear();
+    ++child_len;
   }
   return state;
 }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
+#include <functional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "obs/runtime.h"
@@ -33,6 +35,26 @@ void bucket_remove(std::vector<std::vector<int>>& buckets,
 
 bool customer_direction(const RouteChoice& r) {
   return r.cls == RouteClass::kOrigin || r.cls == RouteClass::kCustomer;
+}
+
+/// True when each site's bucket in `kept` holds the same ASes as in
+/// `rebuilt` (whose buckets are in ascending AS order), and `pos` locates
+/// every AS of `kept` in its bucket.
+bool same_buckets(const std::vector<std::vector<int>>& kept,
+                  const std::vector<int>& pos,
+                  const std::vector<std::vector<int>>& rebuilt) {
+  const std::vector<int> none;
+  std::vector<int> sorted;
+  for (std::size_t site = 0; site < std::max(kept.size(), rebuilt.size());
+       ++site) {
+    sorted = site < kept.size() ? kept[site] : none;
+    for (std::size_t p = 0; p < sorted.size(); ++p) {
+      if (pos[sorted[p]] != static_cast<int>(p)) return false;
+    }
+    std::sort(sorted.begin(), sorted.end());
+    if (sorted != (site < rebuilt.size() ? rebuilt[site] : none)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -76,7 +98,7 @@ int AnycastRouting::register_prefix(std::string label,
   return static_cast<int>(tables_.size()) - 1;
 }
 
-void AnycastRouting::rebuild_aux(Table& table, RoutingState state) {
+void AnycastRouting::rebuild_aux(Table& table, RoutingState state) const {
   table.routes = std::move(state.best);
   table.up = std::move(state.up);
   table.scoped = std::move(state.scoped);
@@ -95,7 +117,7 @@ void AnycastRouting::rebuild_aux(Table& table, RoutingState state) {
   rebuild_origin_caches(table);
 }
 
-void AnycastRouting::rebuild_origin_caches(Table& table) {
+void AnycastRouting::rebuild_origin_caches(Table& table) const {
   const auto n = table.routes.size();
   table.origin_seed.assign(n, RouteChoice{});
   table.scoped_offer.assign(n, RouteChoice{});
@@ -111,16 +133,19 @@ void AnycastRouting::rebuild_origin_caches(Table& table) {
       continue;
     }
     if (self < table.scoped_offer[h]) table.scoped_offer[h] = self;
-    for (const Link& link : topology_.links(h)) {
-      if (link.rel == Rel::kProvider) continue;  // never export upward
-      const RouteClass cls = link.rel == Rel::kCustomer ? RouteClass::kProvider
-                                                        : RouteClass::kPeer;
+    // Never exported upward: peers learn a peer route, customers a
+    // provider route.
+    const auto offer = [&](std::span<const Link> group, RouteClass cls) {
       const RouteChoice cand{cls, o.site_id,
                              static_cast<std::uint16_t>(1 + o.prepend), asn};
-      if (cand < table.scoped_offer[link.neighbor]) {
-        table.scoped_offer[link.neighbor] = cand;
+      for (const Link& link : group) {
+        if (cand < table.scoped_offer[link.neighbor]) {
+          table.scoped_offer[link.neighbor] = cand;
+        }
       }
-    }
+    };
+    offer(topology_.peers(h), RouteClass::kPeer);
+    offer(topology_.customers(h), RouteClass::kProvider);
   }
 }
 
@@ -154,15 +179,17 @@ RouteChoice AnycastRouting::compute_scoped_offer(const Table& table,
     }
     // `as` receives h's NO_EXPORT announcement unless `as` is h's provider
     // (i.e. h is our customer). Class is from the receiver's point of view.
-    for (const Link& link : topology_.links(as)) {
-      if (link.neighbor != h || link.rel == Rel::kCustomer) continue;
-      const RouteClass cls = link.rel == Rel::kProvider ? RouteClass::kProvider
-                                                        : RouteClass::kPeer;
-      const RouteChoice cand{cls, o.site_id,
-                             static_cast<std::uint16_t>(1 + o.prepend),
-                             topology_.info(h).asn};
-      if (cand < best) best = cand;
-    }
+    const auto offer = [&](std::span<const Link> group, RouteClass cls) {
+      for (const Link& link : group) {
+        if (link.neighbor != h) continue;
+        const RouteChoice cand{cls, o.site_id,
+                               static_cast<std::uint16_t>(1 + o.prepend),
+                               link.asn};
+        if (cand < best) best = cand;
+      }
+    };
+    offer(topology_.providers(as), RouteClass::kProvider);
+    offer(topology_.peers(as), RouteClass::kPeer);
   }
   return best;
 }
@@ -182,6 +209,17 @@ void AnycastRouting::set_unrouted_slot(std::int32_t slot) {
 std::vector<RouteChange> AnycastRouting::set_announced(int prefix, int site_id,
                                                        bool announced,
                                                        net::SimTime now) {
+  const auto on_toggled = [&] {
+    const Table& table = tables_[prefix];
+    if (announced) {
+      RS_LOG_INFO << table.label << " site " << site_id << " announced at "
+                  << now.to_string();
+    } else {
+      RS_LOG_WARN << table.label << " site " << site_id << " withdrawn at "
+                  << now.to_string();
+    }
+    trace_session(table, site_id, announced, /*local_only=*/false, now);
+  };
   return mutate_origin(
       prefix, site_id,
       [announced](AnycastOrigin& origin) {
@@ -189,18 +227,9 @@ std::vector<RouteChange> AnycastRouting::set_announced(int prefix, int site_id,
         origin.announced = announced;
         return true;
       },
-      now,
-      [&] {
-        const Table& table = tables_[prefix];
-        if (announced) {
-          RS_LOG_INFO << table.label << " site " << site_id << " announced at "
-                      << now.to_string();
-        } else {
-          RS_LOG_WARN << table.label << " site " << site_id << " withdrawn at "
-                      << now.to_string();
-        }
-        trace_session(table, site_id, announced, /*local_only=*/false, now);
-      });
+      // Through std::cref the std::function parameter wraps a reference in
+      // place instead of copying the closure to the heap.
+      now, std::cref(on_toggled));
 }
 
 std::vector<RouteChange> AnycastRouting::set_origin_state(int prefix,
@@ -208,6 +237,18 @@ std::vector<RouteChange> AnycastRouting::set_origin_state(int prefix,
                                                           bool announced,
                                                           bool local_only,
                                                           net::SimTime now) {
+  const auto on_toggled = [&] {
+    const Table& table = tables_[prefix];
+    if (announced) {
+      RS_LOG_INFO << table.label << " site " << site_id << " -> "
+                  << (local_only ? "local-only" : "announced") << " at "
+                  << now.to_string();
+    } else {
+      RS_LOG_WARN << table.label << " site " << site_id
+                  << " -> withdrawn at " << now.to_string();
+    }
+    trace_session(table, site_id, announced, local_only, now);
+  };
   return mutate_origin(
       prefix, site_id,
       [announced, local_only](AnycastOrigin& origin) {
@@ -218,25 +259,22 @@ std::vector<RouteChange> AnycastRouting::set_origin_state(int prefix,
         origin.local_only = local_only;
         return true;
       },
-      now,
-      [&] {
-        const Table& table = tables_[prefix];
-        if (announced) {
-          RS_LOG_INFO << table.label << " site " << site_id << " -> "
-                      << (local_only ? "local-only" : "announced") << " at "
-                      << now.to_string();
-        } else {
-          RS_LOG_WARN << table.label << " site " << site_id
-                      << " -> withdrawn at " << now.to_string();
-        }
-        trace_session(table, site_id, announced, local_only, now);
-      });
+      now, std::cref(on_toggled));
 }
 
 std::vector<RouteChange> AnycastRouting::set_prepend(int prefix, int site_id,
                                                      int prepend,
                                                      net::SimTime now) {
+  if (prepend > kMaxPrepend) {
+    throw std::invalid_argument("prepend " + std::to_string(prepend) +
+                                " above the cap of " +
+                                std::to_string(kMaxPrepend));
+  }
   const auto value = static_cast<std::uint16_t>(prepend < 0 ? 0 : prepend);
+  const auto on_toggled = [&] {
+    RS_LOG_INFO << tables_[prefix].label << " site " << site_id
+                << " prepend -> " << value << " at " << now.to_string();
+  };
   return mutate_origin(
       prefix, site_id,
       [value](AnycastOrigin& origin) {
@@ -244,11 +282,7 @@ std::vector<RouteChange> AnycastRouting::set_prepend(int prefix, int site_id,
         origin.prepend = value;
         return true;
       },
-      now,
-      [&] {
-        RS_LOG_INFO << tables_[prefix].label << " site " << site_id
-                    << " prepend -> " << value << " at " << now.to_string();
-      });
+      now, std::cref(on_toggled));
 }
 
 std::vector<RouteChange> AnycastRouting::mutate_origin(
@@ -327,17 +361,20 @@ std::vector<RouteChange> AnycastRouting::recompute_incremental(
   up_changed_.clear();
   best_changed_.clear();
 
-  std::deque<int> up_work;
-  std::deque<int> best_work;
+  // FIFO worklists: entries before the head index are done.
+  up_work_.clear();
+  best_work_.clear();
+  std::size_t up_head = 0;
+  std::size_t best_head = 0;
   const auto push_up = [&](int as) {
     if (up_queued_[as]) return;
     up_queued_[as] = 1;
-    up_work.push_back(as);
+    up_work_.push_back(as);
   };
   const auto push_best = [&](int as) {
     if (best_queued_[as]) return;
     best_queued_[as] = 1;
-    best_work.push_back(as);
+    best_work_.push_back(as);
   };
 
   // Refresh the origin-driven caches around S's host ASes. Any AS whose
@@ -357,8 +394,9 @@ std::vector<RouteChange> AnycastRouting::recompute_incremental(
       t.scoped_offer[h] = offer;
       push_best(h);
     }
-    for (const Link& link : topology_.links(h)) {
-      if (link.rel == Rel::kProvider) continue;  // h never exports upward
+    // h never exports upward: only its peers and customers hear it.
+    const std::span<const Link> links = topology_.links(h);
+    for (const Link& link : links.subspan(topology_.providers(h).size())) {
       const RouteChoice nb_offer = compute_scoped_offer(t, link.neighbor);
       if (nb_offer != t.scoped_offer[link.neighbor]) {
         t.scoped_offer[link.neighbor] = nb_offer;
@@ -388,74 +426,65 @@ std::vector<RouteChange> AnycastRouting::recompute_incremental(
   bool overflow = false;
 
   // Stage-1 layer: up[x] = min(origin seed, customer exports).
-  while (!up_work.empty()) {
+  while (up_head < up_work_.size()) {
     if (++pops > pop_budget) {
       overflow = true;
       break;
     }
-    const int x = up_work.front();
-    up_work.pop_front();
+    const int x = up_work_[up_head++];
     up_queued_[x] = 0;
     RouteChoice fresh = t.origin_seed[x];
-    for (const Link& link : topology_.links(x)) {
-      if (link.rel != Rel::kCustomer) continue;
+    for (const Link& link : topology_.customers(x)) {
       const RouteChoice& rn = t.up[link.neighbor];
       if (!customer_direction(rn)) continue;
       const RouteChoice cand{RouteClass::kCustomer, rn.site_id,
                              static_cast<std::uint16_t>(rn.path_len + 1),
-                             topology_.info(link.neighbor).asn};
+                             link.asn};
       if (cand < fresh) fresh = cand;
     }
     if (fresh == t.up[x]) continue;
     record_up_change(x, t.up[x].site_id);
     t.up[x] = fresh;
-    for (const Link& link : topology_.links(x)) {
-      if (link.rel == Rel::kProvider) push_up(link.neighbor);
-    }
+    for (const Link& link : topology_.providers(x)) push_up(link.neighbor);
   }
 
   // Every stage-1 change invalidates its consumers in the best layer: the
   // AS itself (stage-2 baseline) and its peers (stage-2 offers).
   for (const ChangedAs& e : up_changed_) {
     push_best(e.as);
-    for (const Link& link : topology_.links(e.as)) {
-      if (link.rel == Rel::kPeer) push_best(link.neighbor);
-    }
+    for (const Link& link : topology_.peers(e.as)) push_best(link.neighbor);
   }
 
   // Best layer: best[x] = min(up[x], peer offers, cached NO_EXPORT offer,
   // provider exports), with the same strict-improvement precedence the
   // staged full recompute applies (up ≺ peer ≺ scoped ≺ provider on ties).
-  while (!overflow && !best_work.empty()) {
+  while (!overflow && best_head < best_work_.size()) {
     if (++pops > pop_budget) {
       overflow = true;
       break;
     }
-    const int x = best_work.front();
-    best_work.pop_front();
+    const int x = best_work_[best_head++];
     best_queued_[x] = 0;
     RouteChoice fresh = t.up[x];
     char scoped = 0;
-    for (const Link& link : topology_.links(x)) {
-      if (link.rel != Rel::kPeer) continue;
+    for (const Link& link : topology_.peers(x)) {
       const RouteChoice& rn = t.up[link.neighbor];
       if (!customer_direction(rn)) continue;
       const RouteChoice cand{RouteClass::kPeer, rn.site_id,
                              static_cast<std::uint16_t>(rn.path_len + 1),
-                             topology_.info(link.neighbor).asn};
+                             link.asn};
       if (cand < fresh) fresh = cand;
     }
     if (t.scoped_offer[x] < fresh) {
       fresh = t.scoped_offer[x];
       scoped = 1;
     }
-    for (const Link& link : topology_.links(x)) {
-      if (link.rel != Rel::kProvider) continue;
+    for (const Link& link : topology_.providers(x)) {
       const RouteChoice& rp = t.routes[link.neighbor];
       if (!rp.reachable() || t.scoped[link.neighbor]) continue;
       const RouteChoice cand{RouteClass::kProvider, rp.site_id,
                              static_cast<std::uint16_t>(rp.path_len + 1),
-                             topology_.info(link.neighbor).asn};
+                             link.asn};
       if (cand < fresh) {
         fresh = cand;
         scoped = 0;
@@ -465,9 +494,7 @@ std::vector<RouteChange> AnycastRouting::recompute_incremental(
     record_best_change(x, t.routes[x].site_id);
     t.routes[x] = fresh;
     t.scoped[x] = scoped;
-    for (const Link& link : topology_.links(x)) {
-      if (link.rel == Rel::kCustomer) push_best(link.neighbor);
-    }
+    for (const Link& link : topology_.customers(x)) push_best(link.neighbor);
   }
 
   if (t.reselects != nullptr) t.reselects->add(pops);
@@ -475,8 +502,12 @@ std::vector<RouteChange> AnycastRouting::recompute_incremental(
   if (overflow) {
     // Drain queue flags, then recompute from scratch — diffing against the
     // pre-mutation sites recorded at first change.
-    for (const int as : up_work) up_queued_[as] = 0;
-    for (const int as : best_work) best_queued_[as] = 0;
+    for (std::size_t i = up_head; i < up_work_.size(); ++i) {
+      up_queued_[up_work_[i]] = 0;
+    }
+    for (std::size_t i = best_head; i < best_work_.size(); ++i) {
+      best_queued_[best_work_[i]] = 0;
+    }
     std::vector<std::int32_t> old_site(static_cast<std::size_t>(n));
     for (int as = 0; as < n; ++as) old_site[as] = t.routes[as].site_id;
     for (const ChangedAs& e : best_changed_) old_site[e.as] = e.old_site;
@@ -504,7 +535,12 @@ std::vector<RouteChange> AnycastRouting::recompute_incremental(
   }
   std::sort(best_changed_.begin(), best_changed_.end(),
             [](const ChangedAs& a, const ChangedAs& b) { return a.as < b.as; });
+  std::size_t moved = 0;
+  for (const ChangedAs& e : best_changed_) {
+    moved += t.routes[e.as].site_id != e.old_site;
+  }
   std::vector<RouteChange> changes;
+  changes.reserve(moved);
   for (const ChangedAs& e : best_changed_) {
     const int new_site = t.routes[e.as].site_id;
     if (new_site == e.old_site) continue;
@@ -533,12 +569,27 @@ std::vector<RouteChange> AnycastRouting::finish_recompute(
 }
 
 void AnycastRouting::cross_check(const Table& table) const {
-  const RoutingState full = compute_routing_state(topology_, table.origins);
-  if (full.best != table.routes || full.up != table.up ||
+  Table full;
+  full.origins = table.origins;
+  full.origin_host = table.origin_host;
+  rebuild_aux(full, compute_routing_state(topology_, table.origins));
+  const auto fail = [&](const char* what) {
+    throw std::logic_error("incremental BGP recompute diverged from full "
+                           "recompute for prefix " +
+                           table.label + ": " + what);
+  };
+  if (full.routes != table.routes || full.up != table.up ||
       full.scoped != table.scoped) {
-    throw std::logic_error(
-        "incremental BGP recompute diverged from full recompute for prefix " +
-        table.label);
+    fail("routes");
+  }
+  if (full.site_of != table.site_of) fail("site_of");
+  if (full.origin_seed != table.origin_seed ||
+      full.scoped_offer != table.scoped_offer) {
+    fail("origin caches");
+  }
+  if (!same_buckets(table.up_bucket, table.up_pos, full.up_bucket) ||
+      !same_buckets(table.best_bucket, table.best_pos, full.best_bucket)) {
+    fail("reverse-reachability index");
   }
 }
 

@@ -116,9 +116,15 @@ class AnycastRouting {
                                             bool announced, bool local_only,
                                             net::SimTime now);
 
+  /// Largest prepend set_prepend accepts. Path lengths are 16-bit, so a
+  /// cap well below 65535 keeps every origin's paths from wrapping.
+  static constexpr int kMaxPrepend = 255;
+
   /// Sets the AS-path prepend on `site_id`'s announcement of `prefix`
   /// (traffic engineering: longer apparent path, smaller catchment).
-  /// Recomputes and returns changes when the value actually moved.
+  /// Recomputes and returns changes when the value actually moved. A
+  /// negative prepend counts as 0; one above kMaxPrepend throws
+  /// std::invalid_argument.
   std::vector<RouteChange> set_prepend(int prefix, int site_id, int prepend,
                                        net::SimTime now);
 
@@ -148,8 +154,9 @@ class AnycastRouting {
   RecomputeMode mode() const noexcept { return mode_; }
 
   /// Every `interval`-th incremental recompute is verified against a full
-  /// compute_routing_state (0 disables; 1 = every step). Defaults to 1 in
-  /// debug builds and 256 in release builds. Divergence throws
+  /// compute_routing_state and a rebuild of the per-AS caches and the
+  /// reverse-reachability index (0 disables; 1 = every step). Defaults to
+  /// 1 in debug builds and 256 in release builds. Divergence throws
   /// std::logic_error.
   void set_cross_check_interval(int interval) noexcept {
     cross_check_interval_ = interval;
@@ -194,8 +201,8 @@ class AnycastRouting {
                                                  net::SimTime now);
   std::vector<RouteChange> finish_recompute(Table& table, int prefix,
                                             std::vector<RouteChange> changes);
-  void rebuild_aux(Table& table, RoutingState state);
-  void rebuild_origin_caches(Table& table);
+  void rebuild_aux(Table& table, RoutingState state) const;
+  void rebuild_origin_caches(Table& table) const;
   RouteChoice compute_origin_seed(const Table& table, int as) const;
   RouteChoice compute_scoped_offer(const Table& table, int as) const;
   void cross_check(const Table& table) const;
@@ -227,6 +234,8 @@ class AnycastRouting {
   std::vector<ChangedAs> best_changed_;
   std::vector<char> up_queued_;
   std::vector<char> best_queued_;
+  std::vector<int> up_work_;    ///< stage-1 layer FIFO worklist
+  std::vector<int> best_work_;  ///< best layer FIFO worklist
 };
 
 }  // namespace rootstress::bgp

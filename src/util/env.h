@@ -1,9 +1,10 @@
-// Integer knobs share one parse rule: environment variables
+// Numeric knobs share one parse rule: environment variables
 // (ROOTSTRESS_THREADS, ROOTSTRESS_VPS, ROOTSTRESS_TRACE_CAP) and the
-// examples' command-line integers.
+// examples' command-line numbers.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -25,6 +26,22 @@ inline std::optional<std::int64_t> parse_integer(std::string_view text,
     return std::nullopt;
   }
   if (value < min || value > max) return std::nullopt;
+  return value;
+}
+
+/// `text` as a number when the whole string is a finite decimal or
+/// exponent-form value (an optional leading '-', no '+', no spaces)
+/// within [min, max]; nullopt otherwise ("", "5x", "nan", "inf", "1e400",
+/// out of range).
+inline std::optional<double> parse_number(std::string_view text, double min,
+                                          double max) noexcept {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  if (!std::isfinite(value) || value < min || value > max) return std::nullopt;
   return value;
 }
 

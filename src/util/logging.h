@@ -7,7 +7,8 @@
 // Lines are formatted fully before emission and written to stderr with a
 // single locked write, so concurrent threads never interleave. When a
 // telemetry trace sink is attached (obs::TraceSink::attach_logger), every
-// emitted line is also recorded as a structured "log" trace event.
+// emitted line is also recorded as a structured "log" trace event. The
+// RS_LOG_* macros test the level first: a line below it formats nothing.
 #pragma once
 
 #include <functional>
@@ -23,6 +24,11 @@ LogLevel log_level() noexcept;
 
 /// Overrides the threshold (initially taken from ROOTSTRESS_LOG).
 void set_log_level(LogLevel level) noexcept;
+
+/// True when a line at `level` passes the threshold.
+inline bool log_enabled(LogLevel level) noexcept {
+  return static_cast<int>(level) >= static_cast<int>(log_level());
+}
 
 /// Emits one line (atomically, to stderr and any attached sink) if
 /// `level` passes the threshold.
@@ -53,9 +59,16 @@ class LogStream {
 };
 }  // namespace detail
 
-#define RS_LOG_DEBUG ::rootstress::util::detail::LogStream(::rootstress::util::LogLevel::kDebug)
-#define RS_LOG_INFO ::rootstress::util::detail::LogStream(::rootstress::util::LogLevel::kInfo)
-#define RS_LOG_WARN ::rootstress::util::detail::LogStream(::rootstress::util::LogLevel::kWarn)
-#define RS_LOG_ERROR ::rootstress::util::detail::LogStream(::rootstress::util::LogLevel::kError)
+// `RS_LOG_WARN << a << b;` evaluates and formats a and b only when the
+// line passes the level. The empty if-branch keeps a caller's trailing
+// `else` bound to the caller's own `if`.
+#define RS_LOG_AT(level)                              \
+  if (!::rootstress::util::log_enabled(level)) {      \
+  } else                                              \
+    ::rootstress::util::detail::LogStream(level)
+#define RS_LOG_DEBUG RS_LOG_AT(::rootstress::util::LogLevel::kDebug)
+#define RS_LOG_INFO RS_LOG_AT(::rootstress::util::LogLevel::kInfo)
+#define RS_LOG_WARN RS_LOG_AT(::rootstress::util::LogLevel::kWarn)
+#define RS_LOG_ERROR RS_LOG_AT(::rootstress::util::LogLevel::kError)
 
 }  // namespace rootstress::util

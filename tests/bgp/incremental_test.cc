@@ -6,6 +6,8 @@
 // a synthesized hierarchical topology.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "bgp/simulator.h"
 #include "bgp/topology.h"
 #include "net/clock.h"
+#include "obs/profiler.h"
 #include "obs/runtime.h"
 #include "util/rng.h"
 
@@ -237,6 +240,60 @@ TEST(IncrementalBgp, MutateOriginIsTheSingleEntryPoint) {
   EXPECT_TRUE(toggled_hook);
   EXPECT_FALSE(changes.empty());
   EXPECT_FALSE(routing.announced(prefix, 3));
+}
+
+// Once its worklists, change buffers and reverse-reachability buckets have
+// grown on a first pass, the incremental recompute allocates nothing but
+// the change list it returns (reserved once, only when non-empty).
+TEST(IncrementalBgp, RecomputeAllocatesOnlyItsChangeList) {
+#ifdef ROOTSTRESS_NO_ALLOC_HOOK
+  GTEST_SKIP() << "allocation hook disabled at compile time";
+#else
+  if (obs::allocation_count() == 0) {
+    GTEST_SKIP() << "allocation hook not active in this binary";
+  }
+  const AsTopology topo = random_topo(/*seed=*/7);
+  AnycastRouting routing(topo);
+  routing.set_mode(RecomputeMode::kIncremental);
+  routing.set_cross_check_interval(0);
+  const int prefix = routing.register_prefix("Z", site_origins(topo));
+  // One pass over every site: withdraw, scope, prepend, restore. Returns
+  // how many of the returned change lists hold a heap buffer.
+  const auto pass = [&](int round) {
+    std::uint64_t lists = 0;
+    const auto count = [&lists](const std::vector<RouteChange>& changes) {
+      lists += changes.capacity() > 0 ? 1 : 0;
+    };
+    for (int site = 0; site < kSites; ++site) {
+      const auto now = net::SimTime::from_minutes(100 * round + site);
+      count(routing.set_announced(prefix, site, false, now));
+      count(routing.set_origin_state(prefix, site, true, true, now));
+      count(routing.set_prepend(prefix, site, 2, now));
+      count(routing.set_origin_state(prefix, site, true, false, now));
+      count(routing.set_prepend(prefix, site, 0, now));
+    }
+    return lists;
+  };
+  pass(0);  // warm-up
+  const std::uint64_t before = obs::allocation_count();
+  const std::uint64_t lists = pass(1);
+  EXPECT_EQ(obs::allocation_count() - before, lists);
+  EXPECT_GT(lists, 0u);
+#endif
+}
+
+TEST(IncrementalBgp, PrependAboveTheCapIsRejected) {
+  const AsTopology topo = random_topo(/*seed=*/5);
+  AnycastRouting routing(topo);
+  const int prefix = routing.register_prefix("Z", site_origins(topo));
+  EXPECT_THROW(routing.set_prepend(prefix, 2, AnycastRouting::kMaxPrepend + 1,
+                                   net::SimTime(1)),
+               std::invalid_argument);
+  EXPECT_THROW(routing.set_prepend(prefix, 2, 70000, net::SimTime(1)),
+               std::invalid_argument);
+  EXPECT_EQ(routing.prepend(prefix, 2), 0);
+  routing.set_prepend(prefix, 2, AnycastRouting::kMaxPrepend, net::SimTime(2));
+  EXPECT_EQ(routing.prepend(prefix, 2), AnycastRouting::kMaxPrepend);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <queue>
+#include <span>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace rootstress::bgp {
@@ -243,6 +249,238 @@ TEST_P(RibProperty, ViaChainsAreConsistentAndValleyFree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RibProperty, ::testing::Values(1, 7, 99));
+
+// The heap-based fixpoint that compute_routing_state's bucket queue
+// replaced, kept as the reference: a deque for stage 1, a priority queue
+// over (child length, AS) for stage 3, and every stage filtering links()
+// by relation.
+RoutingState heap_routing_state(const AsTopology& topo,
+                                std::span<const AnycastOrigin> origins) {
+  const int n = topo.as_count();
+  RoutingState state;
+  state.best.resize(n);
+  std::vector<RouteChoice>& best = state.best;
+  std::deque<int> frontier;
+  for (const auto& origin : origins) {
+    if (!origin.announced || origin.local_only) continue;
+    const auto idx = topo.index_of(origin.host_as);
+    if (!idx) continue;
+    RouteChoice self{RouteClass::kOrigin, origin.site_id, origin.prepend,
+                     topo.info(*idx).asn};
+    if (self < best[*idx]) {
+      best[*idx] = self;
+      frontier.push_back(*idx);
+    }
+  }
+  while (!frontier.empty()) {
+    const int u = frontier.front();
+    frontier.pop_front();
+    const RouteChoice ru = best[u];
+    if (ru.cls != RouteClass::kOrigin && ru.cls != RouteClass::kCustomer) {
+      continue;
+    }
+    for (const Link& link : topo.links(u)) {
+      if (link.rel != Rel::kProvider) continue;
+      RouteChoice cand{RouteClass::kCustomer, ru.site_id,
+                       static_cast<std::uint16_t>(ru.path_len + 1),
+                       topo.info(u).asn};
+      if (cand < best[link.neighbor]) {
+        best[link.neighbor] = cand;
+        frontier.push_back(link.neighbor);
+      }
+    }
+  }
+  state.up = best;
+  std::vector<RouteChoice> peer_candidates(n);
+  for (int u = 0; u < n; ++u) {
+    const RouteChoice& ru = best[u];
+    if (ru.cls != RouteClass::kOrigin && ru.cls != RouteClass::kCustomer) {
+      continue;
+    }
+    for (const Link& link : topo.links(u)) {
+      if (link.rel != Rel::kPeer) continue;
+      RouteChoice cand{RouteClass::kPeer, ru.site_id,
+                       static_cast<std::uint16_t>(ru.path_len + 1),
+                       topo.info(u).asn};
+      if (cand < peer_candidates[link.neighbor]) {
+        peer_candidates[link.neighbor] = cand;
+      }
+    }
+  }
+  for (int u = 0; u < n; ++u) {
+    if (peer_candidates[u].reachable() && peer_candidates[u] < best[u]) {
+      best[u] = peer_candidates[u];
+    }
+  }
+  state.scoped.assign(n, 0);
+  std::vector<char>& scoped = state.scoped;
+  for (const auto& origin : origins) {
+    if (!origin.announced || !origin.local_only) continue;
+    const auto idx = topo.index_of(origin.host_as);
+    if (!idx) continue;
+    RouteChoice self{RouteClass::kOrigin, origin.site_id, origin.prepend,
+                     topo.info(*idx).asn};
+    if (self < best[*idx]) {
+      best[*idx] = self;
+      scoped[*idx] = 1;
+    }
+    for (const Link& link : topo.links(*idx)) {
+      if (link.rel == Rel::kProvider) continue;
+      const RouteClass cls = link.rel == Rel::kCustomer ? RouteClass::kProvider
+                                                        : RouteClass::kPeer;
+      RouteChoice cand{cls, origin.site_id,
+                       static_cast<std::uint16_t>(1 + origin.prepend),
+                       topo.info(*idx).asn};
+      if (cand < best[link.neighbor]) {
+        best[link.neighbor] = cand;
+        scoped[link.neighbor] = 1;
+      }
+    }
+  }
+  using Item = std::pair<std::uint16_t, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
+  for (int u = 0; u < n; ++u) {
+    if (best[u].reachable() && !scoped[u]) {
+      queue.emplace(static_cast<std::uint16_t>(best[u].path_len + 1), u);
+    }
+  }
+  while (!queue.empty()) {
+    const auto [child_len, u] = queue.top();
+    queue.pop();
+    const RouteChoice ru = best[u];
+    if (!ru.reachable() || ru.path_len + 1 != child_len || scoped[u]) {
+      continue;
+    }
+    for (const Link& link : topo.links(u)) {
+      if (link.rel != Rel::kCustomer) continue;
+      RouteChoice cand{RouteClass::kProvider, ru.site_id, child_len,
+                       topo.info(u).asn};
+      if (cand < best[link.neighbor]) {
+        best[link.neighbor] = cand;
+        scoped[link.neighbor] = 0;
+        queue.emplace(static_cast<std::uint16_t>(child_len + 1),
+                      link.neighbor);
+      }
+    }
+  }
+  return state;
+}
+
+// A random valley-free topology: a peering clique of tier-1s, tier-2s
+// buying transit from one or two tier-1s and peering among themselves,
+// and stubs buying from one to three tier-2s (now and then a tier-1) and
+// now and then peering with another stub. ASNs are shuffled, so via-ASN
+// tiebreaks do not follow index order, and the edges are added in a
+// shuffled order, so relations interleave in each AS's insertion order.
+AsTopology random_valley_free(util::Rng& rng) {
+  const int tier1 = 2 + static_cast<int>(rng.below(3));
+  const int tier2 = 3 + static_cast<int>(rng.below(6));
+  const int stubs = 8 + static_cast<int>(rng.below(30));
+  const int n = tier1 + tier2 + stubs;
+  std::vector<std::uint32_t> asns;
+  for (int i = 0; i < n; ++i) asns.push_back(100 + static_cast<std::uint32_t>(i));
+  rng.shuffle(asns);
+  AsTopology topo;
+  for (int i = 0; i < n; ++i) {
+    const AsTier tier = i < tier1           ? AsTier::kTier1
+                        : i < tier1 + tier2 ? AsTier::kTier2
+                                            : AsTier::kStub;
+    topo.add_as({net::Asn(asns[static_cast<std::size_t>(i)]), tier, {0, 0},
+                 "EU"});
+  }
+  struct Edge {
+    int a, b;
+    bool transit;  // a is b's provider; else a peering
+  };
+  std::vector<Edge> edges;
+  const auto pick = [&](int lo, int count) {
+    return lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(count)));
+  };
+  for (int a = 0; a < tier1; ++a) {
+    for (int b = a + 1; b < tier1; ++b) edges.push_back({a, b, false});
+  }
+  for (int t = tier1; t < tier1 + tier2; ++t) {
+    const int first = pick(0, tier1);
+    edges.push_back({first, t, true});
+    const int second = pick(0, tier1);
+    if (second != first && rng.chance(0.5)) edges.push_back({second, t, true});
+    const int peer = pick(tier1, tier2);
+    if (peer > t && rng.chance(0.6)) edges.push_back({t, peer, false});
+  }
+  for (int s = tier1 + tier2; s < n; ++s) {
+    const int uplinks = 1 + static_cast<int>(rng.below(3));
+    std::vector<int> chosen;
+    for (int u = 0; u < uplinks; ++u) {
+      const int p = rng.chance(0.1) ? pick(0, tier1) : pick(tier1, tier2);
+      if (std::find(chosen.begin(), chosen.end(), p) == chosen.end()) {
+        chosen.push_back(p);
+        edges.push_back({p, s, true});
+      }
+    }
+    const int peer = pick(tier1 + tier2, stubs);
+    if (peer > s && rng.chance(0.2)) edges.push_back({s, peer, false});
+  }
+  rng.shuffle(edges);
+  for (const Edge& e : edges) {
+    if (e.transit) {
+      topo.add_transit(e.a, e.b);
+    } else {
+      topo.add_peering(e.a, e.b);
+    }
+  }
+  return topo;
+}
+
+// The bucket queue reproduces the heap-based fixpoint exactly on 240
+// random topologies whose origins are withdrawn, local-only or prepended,
+// with sites sharing host ASes so that both the via-ASN and the site-id
+// tiebreaks decide routes.
+TEST(Rib, BucketQueueMatchesHeapReferenceOnRandomTopologies) {
+  int asn_ties = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    util::Rng rng(seed * 7919);
+    const AsTopology topo = random_valley_free(rng);
+    const int n = topo.as_count();
+    std::vector<AnycastOrigin> origins;
+    const int sites = 2 + static_cast<int>(rng.below(5));
+    for (int site = 0; site < sites; ++site) {
+      const int hosts = 1 + static_cast<int>(rng.below(2));
+      for (int h = 0; h < hosts; ++h) {
+        AnycastOrigin o;
+        o.site_id = site;
+        o.host_as = topo.info(static_cast<int>(rng.below(n))).asn;
+        o.announced = rng.chance(0.85);
+        o.local_only = rng.chance(0.25);
+        o.prepend = static_cast<std::uint16_t>(rng.below(4));
+        origins.push_back(o);
+      }
+    }
+    // Two sites announced from one AS: only the site id breaks that tie.
+    origins.push_back(AnycastOrigin{sites, origins.front().host_as, true,
+                                    false, origins.front().prepend});
+
+    const RoutingState want = heap_routing_state(topo, origins);
+    const RoutingState got = compute_routing_state(topo, origins);
+    ASSERT_EQ(got.best, want.best) << "seed " << seed;
+    ASSERT_EQ(got.up, want.up) << "seed " << seed;
+    ASSERT_EQ(got.scoped, want.scoped) << "seed " << seed;
+
+    // Count provider routes that had an equal-length rival from another
+    // provider, so the via-ASN tiebreak chose between them.
+    for (int u = 0; u < n; ++u) {
+      const RouteChoice& r = want.best[u];
+      if (r.cls != RouteClass::kProvider || want.scoped[u]) continue;
+      int offers = 0;
+      for (const Link& link : topo.providers(u)) {
+        const RouteChoice& p = want.best[link.neighbor];
+        offers += p.reachable() && !want.scoped[link.neighbor] &&
+                  p.path_len + 1 == r.path_len;
+      }
+      asn_ties += offers >= 2;
+    }
+  }
+  EXPECT_GT(asn_ties, 200);
+}
 
 }  // namespace
 }  // namespace rootstress::bgp

@@ -47,5 +47,37 @@ TEST(ParseInteger, OverflowIsRejectedNotWrapped) {
             std::nullopt);
 }
 
+TEST(ParseNumber, MatchesOnlyTheWholeString) {
+  EXPECT_EQ(parse_number("5", 0.0, 10.0), 5.0);
+  EXPECT_EQ(parse_number("2.5", 0.0, 10.0), 2.5);
+  EXPECT_EQ(parse_number("25e-1", 0.0, 10.0), 2.5);
+  EXPECT_EQ(parse_number("-0.5", -1.0, 10.0), -0.5);
+  EXPECT_EQ(parse_number("5x", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_number("", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_number(" 5", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_number("5 ", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_number("+5", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(parse_number("1,5", 0.0, 10.0), std::nullopt);
+}
+
+TEST(ParseNumber, OnlyFiniteValuesPass) {
+  constexpr double kBig = std::numeric_limits<double>::max();
+  EXPECT_EQ(parse_number("nan", -kBig, kBig), std::nullopt);
+  EXPECT_EQ(parse_number("inf", -kBig, kBig), std::nullopt);
+  EXPECT_EQ(parse_number("-inf", -kBig, kBig), std::nullopt);
+  EXPECT_EQ(parse_number("infinity", -kBig, kBig), std::nullopt);
+  EXPECT_EQ(parse_number("1e400", -kBig, kBig), std::nullopt);
+  EXPECT_EQ(parse_number("-1e400", -kBig, kBig), std::nullopt);
+  EXPECT_EQ(parse_number("1e300", -kBig, kBig), 1e300);
+}
+
+TEST(ParseNumber, BothBoundsAreInclusive) {
+  EXPECT_EQ(parse_number("0", 0.0, 1000.0), 0.0);
+  EXPECT_EQ(parse_number("1000", 0.0, 1000.0), 1000.0);
+  EXPECT_EQ(parse_number("1e3", 0.0, 1000.0), 1000.0);
+  EXPECT_EQ(parse_number("1000.001", 0.0, 1000.0), std::nullopt);
+  EXPECT_EQ(parse_number("-0.001", 0.0, 1000.0), std::nullopt);
+}
+
 }  // namespace
 }  // namespace rootstress::util

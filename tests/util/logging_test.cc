@@ -94,5 +94,50 @@ TEST_F(LoggingTest, DetachedSinkStopsReceiving) {
   EXPECT_EQ(calls, 1);
 }
 
+/// Streams as "counted" and counts how often it was formatted.
+struct Counted {
+  int* formatted;
+};
+std::ostream& operator<<(std::ostream& os, const Counted& c) {
+  ++*c.formatted;
+  return os << "counted";
+}
+
+TEST_F(LoggingTest, LinesBelowTheLevelFormatNothing) {
+  int formatted = 0;
+  std::vector<std::string> sunk;
+  set_log_sink(
+      [&sunk](LogLevel, const std::string& line) { sunk.push_back(line); });
+  CerrCapture capture;
+  set_log_level(LogLevel::kOff);
+  RS_LOG_WARN << Counted{&formatted};
+  RS_LOG_ERROR << Counted{&formatted};
+  EXPECT_EQ(formatted, 0);
+  set_log_level(LogLevel::kWarn);
+  RS_LOG_INFO << Counted{&formatted};
+  EXPECT_EQ(formatted, 0);
+  RS_LOG_WARN << "x=" << Counted{&formatted};
+  EXPECT_EQ(formatted, 1);
+  ASSERT_EQ(sunk.size(), 1u);
+  EXPECT_EQ(sunk[0], "x=counted");
+  EXPECT_EQ(capture.text(), "[WARN] x=counted\n");
+}
+
+TEST_F(LoggingTest, TrailingElseBindsToTheCallersIf) {
+  CerrCapture capture;
+  for (const LogLevel level : {LogLevel::kOff, LogLevel::kDebug}) {
+    set_log_level(level);
+    for (const bool condition : {false, true}) {
+      bool else_ran = false;
+      if (condition)
+        RS_LOG_WARN << "taken";
+      else
+        else_ran = true;
+      EXPECT_EQ(else_ran, !condition);
+    }
+  }
+  EXPECT_EQ(capture.text(), "[WARN] taken\n");
+}
+
 }  // namespace
 }  // namespace rootstress::util
